@@ -26,7 +26,7 @@ from ...engine.arithmetic import (
     JigsawMemEngine,
     MonetDBStyleEngine,
 )
-from ...engine.predicates import RangePredicate
+from ...plan.predicates import RangePredicate
 from ...errors import JigsawError
 from ...workloads.hap import VALUE_MAX, make_hap_table
 from ..reporting import ExperimentResult

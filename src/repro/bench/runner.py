@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple, Type
 
 from ..core.query import Query, Workload
-from ..engine.stats import ExecutionStats
+from ..plan.stats import ExecutionStats
 from ..layouts import (
     ALL_LAYOUTS,
     BuildContext,

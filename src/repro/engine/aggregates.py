@@ -22,7 +22,7 @@ from ..errors import InvalidQueryError
 from ..plan.relational import AGG_FUNCTIONS, AggSpec, ColumnRef
 from ..plan.relops import GroupAggOp, Relation
 from ..plan.stats import ExecutionStats
-from .result import ResultSet
+from ..plan.result import ResultSet
 
 __all__ = ["aggregate", "group_aggregate", "revenue", "AGGREGATE_FUNCTIONS"]
 

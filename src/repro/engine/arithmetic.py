@@ -32,8 +32,8 @@ import numpy as np
 
 from ..core.cost import MemoryModel
 from ..storage.table_data import ColumnTable
-from .predicates import RangePredicate
-from .stats import CpuModel, ExecutionStats
+from ..plan.predicates import RangePredicate
+from ..plan.stats import CpuModel, ExecutionStats
 
 __all__ = [
     "ArithmeticQuery",

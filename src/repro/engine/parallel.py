@@ -377,7 +377,7 @@ class ThreadedPartitionEngine:
         preloaded partitions' tuples by bucket range.
         """
         projected = plan.logical.projected
-        index = plan.snapshot if plan.snapshot is not None else self.manager
+        index = plan.index
         missing_pids: set = set()
         for tid, row in ret.items():
             if status[tid] != _VALID:

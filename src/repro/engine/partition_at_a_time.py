@@ -252,12 +252,8 @@ class PartitionAtATimeExecutor:
             if len(missing):
                 missing_attrs.add(name)
                 missing_by_attr[name] = missing
-                index = (
-                    plan.snapshot if plan.snapshot is not None
-                    else self.manager
-                )
                 proj_pids.update(
-                    index.partitions_with_missing_cells(name, missing)
+                    plan.index.partitions_with_missing_cells(name, missing)
                 )
         fill_op = ProjectFillOp(projected)
         # Only the still-missing projected attributes need decoding here;

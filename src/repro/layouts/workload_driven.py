@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core.query import Workload
-from ..engine.predicates import Conjunction
+from ..plan.predicates import Conjunction
 from ..engine.scan import ScanExecutor
 from ..partitioning.peloton import PelotonPartitioner
 from ..partitioning.schism import SchismPartitioner

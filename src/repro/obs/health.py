@@ -259,10 +259,6 @@ class HealthMonitor:
             rules if rules is not None else default_rules()
         )
 
-    def add_rule(self, rule: HealthRule) -> "HealthMonitor":
-        self.rules.append(rule)
-        return self
-
     def evaluate(self) -> HealthReport:
         results = [rule.evaluate(self.registry) for rule in self.rules]
         worst = OK

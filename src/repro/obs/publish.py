@@ -246,7 +246,6 @@ def publish_partition_cache(cache, name: str = "main") -> None:
         "n_hits",
         "n_misses",
         "n_records",
-        "n_stale_drops",
         "n_invalidated",
         "n_evicted",
     ):

@@ -24,7 +24,7 @@ from typing import List
 import numpy as np
 
 from ..core.query import Workload
-from ..engine.predicates import Conjunction
+from ..plan.predicates import Conjunction
 from ..errors import InvalidPartitioningError
 from ..storage.table_data import ColumnTable
 

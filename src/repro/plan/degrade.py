@@ -66,13 +66,17 @@ def plan_alternates(
     """
     chosen: List[int] = []
     seen: Set[int] = set()
+    # Catalog metadata only: usable even when the failed partition's file
+    # is unreadable, which is exactly when degraded reads need it.
+    failed = manager.info(failed_pid)
+    catalog = manager.head
     for attribute in attributes:
-        tids = manager.attribute_tids(failed_pid, attribute)
+        tids = failed.attribute_tids(attribute)
         if tids_by_attribute is not None and attribute in tids_by_attribute:
             tids = np.intersect1d(tids, tids_by_attribute[attribute])
         if not len(tids):
             continue
-        pids, missing = manager.cover_attribute(
+        pids, missing = catalog.cover_attribute(
             attribute, tids, exclude=fctx.unreadable
         )
         if len(missing):

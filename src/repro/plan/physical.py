@@ -30,7 +30,11 @@ from ..core.cost import estimate_access_io
 from ..core.query import Query
 from ..core.schema import TableMeta
 from ..obs import tracer as obs_tracer
-from ..storage.partition_manager import PartitionManager
+from ..storage.partition_manager import (
+    CatalogVersion,
+    PartitionInfo,
+    PartitionManager,
+)
 from .explain import AccessExplain, ExplainReport
 from .logical import (
     POLICY_PARTITION,
@@ -77,7 +81,7 @@ class PhysicalPlan:
     __slots__ = (
         "manager", "logical", "policy", "selection", "projection",
         "estimated_partition_reads", "estimated_bytes", "estimated_io_time_s",
-        "snapshot",
+        "snapshot", "index",
     )
 
     def __init__(
@@ -95,10 +99,12 @@ class PhysicalPlan:
         self.selection = selection
         self.projection = projection
         #: pinned :class:`~repro.storage.partition_manager.CatalogSnapshot`
-        #: the plan was built against, or None for a live-catalog plan.
-        #: Engines route projection-phase index lookups through it and
-        #: consult its ``valid_mask`` on no-WHERE fast paths.
+        #: the plan was built against, or None for a live-catalog plan;
+        #: engines consult its ``valid_mask`` on no-WHERE fast paths.
         self.snapshot = snapshot
+        #: where the engines' projection phase looks up the tuple-level
+        #: index: the pinned snapshot, or the live manager.
+        self.index = snapshot if snapshot is not None else manager
         # Upper bound for a healthy (fault-free) execution: every non-pruned
         # selection access is read; a projection access is only *maybe* read
         # (phase-2 skips partitions with no missing cell / no selected
@@ -193,12 +199,13 @@ class QueryPlanner:
     ``partition_cache`` is the serving tier's semantic cache
     (:class:`repro.serve.PartitionCache`, duck-typed to avoid a layering
     cycle).  When set, the planner consults it before classification —
-    ``lookup(logical)`` returns replayed per-partition verdicts for an equal
-    normalized-predicate signature under the *current* catalog token, which
-    :meth:`LogicalPlan.use_cached` short-circuits into — and records fresh
-    decisions back on a miss (``record`` drops the entry if the catalog
-    changed mid-plan, so a concurrent ``swap_partitions`` can never poison
-    the cache).
+    ``lookup(logical, version)`` returns replayed per-partition verdicts for
+    an equal normalized-predicate signature under the plan's catalog
+    version, which :meth:`LogicalPlan.use_cached` short-circuits into — and
+    records fresh decisions back on a miss.  Every plan reads one immutable
+    :class:`~repro.storage.partition_manager.CatalogVersion` (the pin's, or
+    the head at plan time), so a recorded verdict is exact for its version
+    even when a swap commits mid-plan.
     """
 
     def __init__(
@@ -240,10 +247,9 @@ class QueryPlanner:
 
         ``snapshot`` pins the plan to a
         :class:`~repro.storage.partition_manager.CatalogSnapshot`: partition
-        candidates come from the snapshot's frozen pid set (which may include
-        retired-but-unpruned partitions absent from the live indexes), and
-        the semantic partition cache keys on the snapshot's token instead of
-        the live catalog token.
+        candidates and catalog entries come from the snapshot's value (which
+        may include retired-but-unpruned partitions absent from the head),
+        and the semantic partition cache keys on its version.
         """
         tracer = obs_tracer()
         if not tracer.enabled:
@@ -262,23 +268,15 @@ class QueryPlanner:
 
     def _plan(self, query: Query, notify: bool, snapshot=None) -> PhysicalPlan:
         logical = self.logical_plan(query)
-        manager = self.manager
-        # The snapshot mirrors the manager's index API over its frozen pid
-        # set, so the candidate lookups below are shape-identical either way.
-        index = snapshot if snapshot is not None else manager
+        catalog = self._catalog(snapshot)
         cache = self.partition_cache
-        cache_hit = cache_token = None
+        cache_hit = None
         if cache is not None:
-            if snapshot is not None:
-                cache_hit, cache_token = cache.lookup(
-                    logical, token=snapshot.token
-                )
-            else:
-                cache_hit, cache_token = cache.lookup(logical)
+            cache_hit = cache.lookup(logical, catalog.version)
             if cache_hit is not None:
                 logical.use_cached(cache_hit)
         if logical.conjunction:
-            pred_pids = index.partitions_for_attributes(
+            pred_pids = catalog.partitions_for_attributes(
                 logical.predicate_attributes
             )
         else:
@@ -287,42 +285,42 @@ class QueryPlanner:
             pred_pids = ()
         proj_pids: set = set()
         for name in logical.projected:
-            proj_pids.update(index.partitions_for_attribute(name))
+            proj_pids.update(catalog.partitions_for_attribute(name))
         pin_pool = self.access_policy.pin_pool
         selection = tuple(
             self._access(
-                pid, logical, logical.selection_columns,
+                catalog.info(pid), logical, logical.selection_columns,
                 pin=pin_pool and pid in proj_pids,
             )
             for pid in sorted(pred_pids)
         )
         projection = tuple(
-            self._access(pid, logical, logical.projection_columns)
+            self._access(catalog.info(pid), logical, logical.projection_columns)
             for pid in sorted(proj_pids)
         )
         plan = PhysicalPlan(
-            manager, logical, self.access_policy, selection, projection,
+            self.manager, logical, self.access_policy, selection, projection,
             snapshot=snapshot,
         )
         if cache is not None and cache_hit is None:
-            if snapshot is not None:
-                cache.record(logical, cache_token, pinned=True)
-            else:
-                cache.record(logical, cache_token)
+            cache.record(logical, catalog.version)
         if notify and self.observer is not None:
             self.observer(query, plan)
         return plan
 
+    def _catalog(self, snapshot) -> CatalogVersion:
+        """The one catalog value a plan reads: the pin's, or the head."""
+        return snapshot.catalog if snapshot is not None else self.manager.head
+
+    @staticmethod
     def _access(
-        self,
-        pid: int,
+        info: PartitionInfo,
         logical: LogicalPlan,
         columns: Optional[frozenset],
         pin: bool = False,
     ) -> PartitionAccess:
-        info = self.manager.info(pid)
         return PartitionAccess(
-            pid=pid,
+            pid=info.pid,
             decision=logical.classify(info),
             n_bytes=info.n_bytes,
             columns=columns,
@@ -332,25 +330,27 @@ class QueryPlanner:
     # ------------------------------------------------------ replica-local
 
     def plan_local(
-        self, query: Query, snapshot=None
+        self, query: Query, catalog: Optional[CatalogVersion] = None
     ) -> Optional[Tuple[int, ...]]:
         """The partitions a replica-local evaluation would read, or None.
 
         Localizable iff every (non-empty) partition holding a projected cell
         also stores — natively or via replicas — *all* predicate attributes
         for its own tuples; then each partition filters and emits its own
-        tuples with no cross-partition reconstruction.
+        tuples with no cross-partition reconstruction.  ``catalog`` defaults
+        to the head.
         """
         if not query.where:
             return None
-        index = snapshot if snapshot is not None else self.manager
-        proj_pids = index.partitions_for_attributes(query.pi_attributes)
+        if catalog is None:
+            catalog = self.manager.head
+        proj_pids = catalog.partitions_for_attributes(query.pi_attributes)
         if not proj_pids:
             return None
         sigma = query.sigma_attributes
         non_empty = []
         for pid in proj_pids:
-            info = self.manager.info(pid)
+            info = catalog.info(pid)
             if info.n_tuples == 0:
                 continue  # empty placeholder: nothing to evaluate or emit
             if not sigma <= info.full_coverage_attrs:
@@ -369,19 +369,14 @@ class QueryPlanner:
         every tuple's predicate cells are covered by the partition's zone,
         so one refuted predicate excludes all local tuples.
         """
-        pids = self.plan_local(query, snapshot=snapshot)
+        catalog = self._catalog(snapshot)
+        pids = self.plan_local(query, catalog)
         if pids is None:
             return None
         logical = LogicalPlan(query, policy=POLICY_SCAN, pruning=True)
         columns = logical.selection_columns | logical.projection_columns
         selection = tuple(
-            PartitionAccess(
-                pid=pid,
-                decision=logical.classify(self.manager.info(pid)),
-                n_bytes=self.manager.info(pid).n_bytes,
-                columns=columns,
-            )
-            for pid in pids
+            self._access(catalog.info(pid), logical, columns) for pid in pids
         )
         return PhysicalPlan(
             self.manager, logical, self.access_policy, selection, (),

@@ -85,13 +85,6 @@ class Relation:
             columns[f"{table}.{name}"] = np.asarray(values)
         return cls(columns=columns, tid_tables=(table,))
 
-    @classmethod
-    def empty_like(cls, template: "Relation") -> "Relation":
-        columns = {
-            name: values[:0] for name, values in template.columns.items()
-        }
-        return cls(columns=columns, tid_tables=template.tid_tables)
-
     def take(self, indices: np.ndarray) -> "Relation":
         return Relation(
             columns={

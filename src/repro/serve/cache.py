@@ -10,11 +10,11 @@ memoizes the planner's per-partition verdicts keyed by
   lo, hi)`` triples with min/max-normalized bounds plus the pruning policy,
   so two queries spelled differently (reordered conjuncts, flipped bounds)
   share an entry while queries under different soundness rules never do; and
-* the manager's **cache token** ``(catalog_version, pruning_version)`` —
-  any :meth:`~repro.storage.partition_manager.PartitionManager
-  .swap_partitions` or sketch-catalog rebuild bumps the token, so entries
-  computed against the old catalog can never be replayed against the new
-  one.  (This is the cached-provenance idea of arXiv:2504.19252 applied at
+* the **catalog version** the plan read — every
+  :meth:`~repro.storage.partition_manager.PartitionManager.swap_partitions`,
+  write batch and sketch attach commits a new immutable version, so entries
+  computed against an old catalog can never be replayed against a new one.
+  (This is the cached-provenance idea of arXiv:2504.19252 applied at
   serving time: reuse *which partitions survived*, not the data itself.)
 
 A hit hands the stored verdicts to :meth:`~repro.plan.logical.LogicalPlan
@@ -24,12 +24,12 @@ for another.  Projection never affects a verdict (REQUIRED vs
 PROJECTION-ONLY depends on predicate attributes only), which is what makes
 the predicate-only key sound.
 
-Coherence protocol: the cache registers an invalidation hook with the
-manager; a version bump drops every stale entry.  Even without the hook the
-cache stays correct — lookups key on the *current* token, so stale entries
-are unreachable — the hook only reclaims their memory promptly.  Recording
-re-reads the token and drops the entry if it changed mid-plan, so a
-concurrent swap can never publish verdicts computed against a torn view.
+Coherence protocol: a plan classifies against one immutable catalog value
+and records under that value's version, so an entry can never disagree with
+its key — not even when a swap commits mid-plan.  Pinned (``AS OF``) plans
+share entries with every other plan of the same version.  The cache
+registers an invalidation hook with the manager that drops entries of
+versions neither current nor pinned; it only reclaims their memory promptly.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ __all__ = [
 #: manager needs no scope) and the table name when a
 #: :class:`CatalogPartitionCache` keys one multi-table plan's leaves.
 Signature = Tuple[str, str, bool, Tuple[Tuple[str, float, float], ...]]
-#: ``(catalog_version, pruning_version)`` from the manager.
-Token = Tuple[int, int]
 
 
 def predicate_signature(
@@ -87,16 +85,14 @@ class CacheStats:
     """Lifetime counters; reads are approximate under concurrency, which is
     fine for metrics (the cache itself is exact)."""
 
-    __slots__ = ("n_hits", "n_misses", "n_records", "n_stale_drops",
-                 "n_invalidated", "n_evicted")
+    __slots__ = ("n_hits", "n_misses", "n_records", "n_invalidated",
+                 "n_evicted")
 
     def __init__(self) -> None:
         self.n_hits = 0
         self.n_misses = 0
         #: entries successfully recorded after a miss
         self.n_records = 0
-        #: record() calls dropped because the catalog changed mid-plan
-        self.n_stale_drops = 0
         #: entries purged by a version-bump invalidation
         self.n_invalidated = 0
         #: entries evicted by the LRU capacity bound
@@ -109,7 +105,7 @@ class CacheStats:
 
 
 class PartitionCache:
-    """LRU map ``(signature, token) -> {pid: PartitionDecision}``.
+    """LRU map ``(signature, catalog version) -> {pid: PartitionDecision}``.
 
     Bound to one :class:`PartitionManager`; ``capacity`` bounds the number
     of distinct predicate signatures retained.  Thread-safe: the serving
@@ -131,16 +127,13 @@ class PartitionCache:
         #: one leaf of a :class:`CatalogPartitionCache`.
         self.table_scope = table_scope
         self.stats = CacheStats()
-        self._entries: "OrderedDict[Tuple[Signature, Token], Dict[int, PartitionDecision]]" = (
+        self._entries: "OrderedDict[Tuple[Signature, int], Dict[int, PartitionDecision]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
         manager.add_invalidation_hook(self._on_invalidate)
 
     # ------------------------------------------------------------- keying
-
-    def token(self) -> Token:
-        return self.manager.cache_token()
 
     def signature(self, logical: LogicalPlan) -> Signature:
         return predicate_signature(
@@ -153,61 +146,27 @@ class PartitionCache:
     # ---------------------------------------------------- planner protocol
 
     def lookup(
-        self, logical: LogicalPlan, token: Optional[Token] = None
-    ) -> Tuple[Optional[Dict[int, PartitionDecision]], Token]:
-        """Verdicts for this plan's signature under the current token.
-
-        Returns ``(decisions or None, token_at_lookup)``; the planner passes
-        the token back to :meth:`record` so a mid-plan catalog change is
-        detected.
-
-        ``token`` keys the lookup explicitly — the snapshot path: a plan
-        pinned to a :class:`~repro.storage.partition_manager.CatalogSnapshot`
-        passes the snapshot's frozen ``(version, -1)`` token, so
-        ``AS OF`` replays share verdicts with each other but never with live
-        plans (and a compaction that bumps the live catalog mid-replay can
-        never serve a pinned plan a verdict from the *new* catalog, nor the
-        reverse).
-        """
-        if token is None:
-            token = self.manager.cache_token()
-        key = (self.signature(logical), token)
+        self, logical: LogicalPlan, version: int
+    ) -> Optional[Dict[int, PartitionDecision]]:
+        """Verdicts for this plan's signature at catalog ``version``, or None."""
+        key = (self.signature(logical), version)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.stats.n_hits += 1
-                return dict(entry), token
+                return dict(entry)
             self.stats.n_misses += 1
-        return None, token
+        return None
 
-    def record(
-        self,
-        logical: LogicalPlan,
-        token: Optional[Token],
-        pinned: bool = False,
-    ) -> bool:
-        """Store a missed plan's verdicts, unless the catalog moved on.
-
-        ``token`` is the value :meth:`lookup` returned when the plan began;
-        if the manager's token differs now, some verdicts may have been
-        computed against the pre-swap catalog and the entry is dropped
-        (sound: a dropped record only costs a future miss).
-
-        ``pinned`` marks verdicts computed against a pinned snapshot: the
-        catalog they classified cannot have moved (the snapshot froze it),
-        so the live-token staleness check does not apply and the entry is
-        stored under the snapshot's own token.
-        """
-        if token is None or (not pinned and self.manager.cache_token() != token):
-            self.stats.n_stale_drops += 1
-            return False
+    def record(self, logical: LogicalPlan, version: int) -> bool:
+        """Store a missed plan's verdicts, computed against ``version``."""
         decisions = {
             pid: d for pid, d in logical.decision_map().items() if not d.via_cache
         }
         if not decisions:
             return False
-        key = (self.signature(logical), token)
+        key = (self.signature(logical), version)
         with self._lock:
             self._entries[key] = decisions
             self._entries.move_to_end(key)
@@ -219,18 +178,11 @@ class PartitionCache:
 
     # ------------------------------------------------------- invalidation
 
-    def _on_invalidate(self, catalog_version: int, pruning_version: int) -> None:
-        live = (catalog_version, pruning_version)
-        # Entries keyed to a still-pinned snapshot version stay: their
-        # verdicts were computed against a frozen catalog, so no commit can
-        # stale them while the pin (and thus the retired partitions they
-        # classify) is held.
-        pinned = set(self.manager.pinned_versions())
+    def _on_invalidate(self, version: int) -> None:
+        # Entries of a still-pinned version stay: pinned plans replay them.
+        keep = {version, *self.manager.pinned_versions()}
         with self._lock:
-            stale = [
-                key for key in self._entries
-                if key[1] != live and key[1][0] not in pinned
-            ]
+            stale = [key for key in self._entries if key[1] not in keep]
             for key in stale:
                 del self._entries[key]
             self.stats.n_invalidated += len(stale)
@@ -321,21 +273,14 @@ class CatalogPartitionCache:
     # ---------------------------------------------------- planner protocol
 
     def lookup(
-        self, table: str, logical: LogicalPlan, token: Optional[Token] = None
-    ) -> Tuple[Optional[Dict[int, PartitionDecision]], Token]:
+        self, table: str, logical: LogicalPlan, version: int
+    ) -> Optional[Dict[int, PartitionDecision]]:
         """Verdicts for one leaf of a multi-table plan (see
-        :meth:`PartitionCache.lookup`); ``token`` keys on a pinned snapshot
-        version instead of the live catalog token."""
-        return self.for_table(table).lookup(logical, token=token)
+        :meth:`PartitionCache.lookup`)."""
+        return self.for_table(table).lookup(logical, version)
 
-    def record(
-        self,
-        table: str,
-        logical: LogicalPlan,
-        token: Optional[Token],
-        pinned: bool = False,
-    ) -> bool:
-        return self.for_table(table).record(logical, token, pinned=pinned)
+    def record(self, table: str, logical: LogicalPlan, version: int) -> bool:
+        return self.for_table(table).record(logical, version)
 
     def clear(self) -> None:
         for cache in self._caches.values():

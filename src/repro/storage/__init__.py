@@ -21,7 +21,12 @@ from .format import (
     serialize_partition,
 )
 from .io_stats import IOStats
-from .partition_manager import CatalogSnapshot, PartitionInfo, PartitionManager
+from .partition_manager import (
+    CatalogSnapshot,
+    CatalogVersion,
+    PartitionInfo,
+    PartitionManager,
+)
 from .prefetch import Prefetcher, PrefetchStats
 from .sketches import (
     BloomSketch,
@@ -66,6 +71,7 @@ __all__ = [
     "LazyColumnBlock",
     "MemoryBlobStore",
     "CatalogSnapshot",
+    "CatalogVersion",
     "PartitionInfo",
     "PartitionManager",
     "PhysicalPartition",

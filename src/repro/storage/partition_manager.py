@@ -6,13 +6,16 @@ index (attribute -> partitions storing it) and the *tuple-level* index
 (which partitions store a given tuple's cells).  The tuple-level index is
 kept as per-segment sorted tuple-ID arrays, which supports the projection
 phase's "partitions containing attribute ``a`` of tuple ``t``" lookups.
+Both live in one immutable :class:`CatalogVersion` per catalog version:
+every commit builds the next value and swaps one reference, readers never
+lock, and a pinned :class:`CatalogSnapshot` is a lease on one value.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -47,10 +50,11 @@ from .physical import (
     SegmentSpec,
     build_physical_partition,
     physical_from_logical,
+    sorted_unique,
 )
 from .table_data import ColumnTable
 
-__all__ = ["CatalogSnapshot", "PartitionInfo", "PartitionManager"]
+__all__ = ["CatalogSnapshot", "CatalogVersion", "PartitionInfo", "PartitionManager"]
 
 
 @dataclass(slots=True)
@@ -79,7 +83,8 @@ class PartitionInfo:
     full_coverage_attrs: frozenset = frozenset()
     #: per-segment ``(min_tid, max_tid)``; ``(-1, -1)`` for empty segments.
     segment_tid_bounds: List[Tuple[int, int]] = field(default_factory=list)
-    #: catalog version at which this partition became visible.
+    #: catalog version at which this partition became visible; a retired
+    #: entry is re-stamped with the version that retired it.
     version: int = 0
     #: optional per-partition data-skipping sketches (see
     #: :mod:`repro.storage.sketches`); ``None`` when none were built.
@@ -98,7 +103,7 @@ class PartitionInfo:
         """Sorted unique tuple IDs with a primary cell in the partition.
 
         Memoized: the projection phase and ``_full_coverage`` call this once
-        per attribute pass, and the unique/concatenate is pure recomputation.
+        per attribute pass, and the dedup/concatenate is pure recomputation.
         """
         if self._tuple_ids_cache is None:
             primary = [
@@ -109,8 +114,27 @@ class PartitionInfo:
             if not primary:
                 self._tuple_ids_cache = np.empty(0, dtype=np.int64)
             else:
-                self._tuple_ids_cache = np.unique(np.concatenate(primary))
+                self._tuple_ids_cache = sorted_unique(np.concatenate(primary))
         return self._tuple_ids_cache
+
+    def catalog_tids(self) -> Dict[int, np.ndarray]:
+        """Ordinal -> tids of the segments whose tids live in the catalog."""
+        modes = zip(self.segment_tids, self.segment_tid_modes)
+        return {i: tids for i, (tids, mode) in enumerate(modes) if mode == TID_CATALOG}
+
+    def attribute_tids(self, attribute: str) -> np.ndarray:
+        """Sorted unique tuple IDs for which the partition stores a cell of
+        ``attribute`` — in *any* segment, primary or replica."""
+        holding = [
+            tids
+            for attrs, tids in zip(self.segment_attrs, self.segment_tids)
+            if attribute in attrs and len(tids)
+        ]
+        if not holding:
+            return np.empty(0, dtype=np.int64)
+        if len(holding) == 1:
+            return holding[0]
+        return sorted_unique(np.concatenate(holding))
 
     def zone_disjoint(
         self, attribute: str, lo: float, hi: float
@@ -155,7 +179,7 @@ def _full_coverage(info: PartitionInfo) -> frozenset:
         return frozenset()
     coverage: Dict[str, int] = {}
     for attrs, tids in zip(info.segment_attrs, info.segment_tids):
-        unique = len(np.unique(tids))
+        unique = len(sorted_unique(tids))
         for attribute in attrs:
             coverage[attribute] = coverage.get(attribute, 0) + unique
     return frozenset(a for a, count in coverage.items() if count >= len(all_tids))
@@ -169,6 +193,134 @@ def _contains_any(sorted_tids: np.ndarray, tids: np.ndarray) -> bool:
     if not np.any(in_bounds):
         return False
     return bool(np.any(sorted_tids[positions[in_bounds]] == tids[in_bounds]))
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class CatalogVersion:
+    """The catalog at one version: immutable, shared, read without locks.
+
+    Holds the version number, the pid -> :class:`PartitionInfo` map of the
+    partitions live at that version, and the paper's attribute-level index:
+    ``(attribute, replica_only) -> pids``, in the order the partitions became
+    visible (by ``(info.version, pid)``, which the greedy degraded-read cover
+    walks).  The tuple-level index is the infos' per-segment tid arrays.
+
+    Nothing here is mutated after construction: each commit derives the next
+    value (:meth:`patched`, :meth:`advanced`) and the manager swaps one
+    reference, so a verdict computed against a value stays exact for as long
+    as anyone holds it.
+    """
+
+    version: int
+    infos: Mapping[int, PartitionInfo]
+    index: Mapping[Tuple[str, bool], Tuple[int, ...]]
+
+    @classmethod
+    def build(cls, version: int, infos: Iterable[PartitionInfo]) -> "CatalogVersion":
+        """The value a run of commits leaving exactly ``infos`` live had."""
+        ordered = sorted(infos, key=lambda info: (info.version, info.pid))
+        return cls(version, {}, {}).patched(version, (), ordered)
+
+    def advanced(
+        self, version: int, info: Optional[PartitionInfo] = None
+    ) -> "CatalogVersion":
+        """This catalog under a new version, optionally with one entry swapped
+        for one holding the same attributes (a sketch attach)."""
+        infos = self.infos if info is None else {**self.infos, info.pid: info}
+        return CatalogVersion(version, infos, self.index)
+
+    def patched(
+        self, version: int, removed: Iterable[int], added: Sequence[PartitionInfo]
+    ) -> "CatalogVersion":
+        """Drop the ``removed`` pids, then append ``added`` in order.
+
+        Copies the maps once and rebuilds only the pid tuples of attributes
+        the changed partitions hold — no full re-index per commit.
+        """
+        infos = dict(self.infos)
+        gone = {pid: infos.pop(pid) for pid in removed}
+        infos.update((info.pid, info) for info in added)
+        keys = {info.pid: _index_keys(info) for info in added}
+        index = dict(self.index)
+        for key in set().union(*keys.values(), *map(_index_keys, gone.values())):
+            pids = tuple(pid for pid in index.get(key, ()) if pid not in gone)
+            pids += tuple(info.pid for info in added if key in keys[info.pid])
+            if pids:
+                index[key] = pids
+            else:
+                index.pop(key, None)
+        return CatalogVersion(version, infos, index)
+
+    def info(self, pid: int) -> PartitionInfo:
+        try:
+            return self.infos[pid]
+        except KeyError:
+            raise PartitionNotFoundError(f"no partition with id {pid}") from None
+
+    def pids(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.infos))
+
+    def partitions_for_attribute(self, attribute: str) -> Tuple[int, ...]:
+        """Partitions storing a *primary* cell of ``attribute``."""
+        return self.index.get((attribute, False), ())
+
+    def replica_partitions_for_attribute(self, attribute: str) -> Tuple[int, ...]:
+        """Partitions holding replica-only copies of ``attribute``."""
+        return self.index.get((attribute, True), ())
+
+    def partitions_for_attributes(self, attributes: Iterable[str]) -> Tuple[int, ...]:
+        pids: set = set()
+        for attribute in attributes:
+            pids.update(self.partitions_for_attribute(attribute))
+        return tuple(sorted(pids))
+
+    def partitions_with_missing_cells(
+        self, attribute: str, tids: np.ndarray
+    ) -> Tuple[int, ...]:
+        """Tuple-level index lookup used by the projection phase: the
+        partitions that store ``attribute`` for at least one of ``tids``."""
+        return tuple(
+            pid for pid in self.partitions_for_attribute(attribute)
+            if self.infos[pid].contains_attribute_of(attribute, tids)
+        )
+
+    def cover_attribute(
+        self, attribute: str, tids: np.ndarray, exclude: Iterable[int] = ()
+    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """Greedy cover of ``(attribute, tids)`` cells from other partitions.
+
+        Candidates are every partition holding ``attribute`` primarily or as
+        replicas, minus ``exclude`` (typically the unreadable partition).
+        Returns ``(chosen_pids, still_missing_tids)``; an empty second item
+        means full coverage.
+        """
+        excluded = frozenset(exclude)
+        remaining = sorted_unique(np.asarray(tids, dtype=np.int64))
+        chosen: List[int] = []
+        for pid in self.partitions_for_attribute(attribute) + (
+            self.replica_partitions_for_attribute(attribute)
+        ):
+            if pid in excluded or not len(remaining):
+                continue
+            held = self.infos[pid].attribute_tids(attribute)
+            if not len(held):
+                continue
+            hit = np.isin(remaining, held, assume_unique=True)
+            if hit.any():
+                chosen.append(pid)
+                remaining = remaining[~hit]
+        return tuple(chosen), remaining
+
+    def __len__(self) -> int:
+        return len(self.infos)
+
+
+def _index_keys(info: PartitionInfo) -> Set[Tuple[str, bool]]:
+    """The attribute-index keys listing ``info``: its primary attributes,
+    then replica-only ones (a partition holding both copies is primary)."""
+    return {(a, False) for a in info.attributes} | {
+        (a, True) for a in info.replica_attributes - info.attributes
+    }
 
 
 class PartitionManager:
@@ -189,70 +341,59 @@ class PartitionManager:
         self.key_prefix = key_prefix
         self.buffer_pool = buffer_pool
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        #: bumped once per successful :meth:`swap_partitions` commit.
-        self.catalog_version = 0
-        #: bumped whenever anything that can change a *pruning* verdict
-        #: changes — every catalog swap, plus sketch attach/recover (which
-        #: alter prunability without a catalog commit).  Consumers that
-        #: memoize pruning decisions (the semantic partition cache) key on
-        #: :meth:`cache_token`, which folds both versions in.
-        self.pruning_version = 0
-        #: callbacks invoked (outside the catalog mutex) after any commit
-        #: that invalidates memoized pruning state; each receives the new
-        #: ``(catalog_version, pruning_version)`` stamp.
-        self._invalidation_hooks: List[Callable[[int, int], None]] = []
-        #: serializes catalog/index mutation against concurrent readers —
-        #: the serving tier plans queries while the adaptive daemon swaps.
+        #: the current catalog; readers take this one reference, never a lock.
+        self._head = CatalogVersion(0, {}, {})
+        #: callbacks invoked (outside the mutex) after every commit, with the
+        #: new catalog version.
+        self._invalidation_hooks: List[Callable[[int], None]] = []
+        #: serializes writers — commits, pins, prunes — against each other.
         self._mutex = threading.RLock()
-        self._catalog: Dict[int, PartitionInfo] = {}
-        #: pid -> info for partitions removed by a swap but kept readable so
-        #: queries planned against the old catalog can still finish.
+        #: pid -> entry for partitions removed by a swap but kept readable so
+        #: queries planned against an older version can still finish.
         self._retired: Dict[int, PartitionInfo] = {}
-        self._attribute_index: Dict[str, List[int]] = {}
-        self._replica_index: Dict[str, List[int]] = {}
-        #: commit log: ``(version, pids_added, pids_retired)`` per catalog
-        #: commit, in version order.  ``pids_added`` holds only pids that
-        #: were *not* live before the commit, so walking the log backwards
-        #: reconstructs the live pid set at any retained version.
-        self._history: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
-        #: version -> number of :class:`CatalogSnapshot` pins holding it.
-        self._pins: Dict[int, int] = {}
+        #: commit log: ``(version, pids_added, infos_removed)`` per commit, in
+        #: version order.  ``infos_removed`` holds the entries the commit
+        #: took out of the catalog (retired, replaced in place, or re-sketched),
+        #: so walking the log backwards from the head rebuilds any retained
+        #: version exactly.
+        self._history: List[Tuple[int, Tuple[int, ...], Tuple[PartitionInfo, ...]]] = []
+        #: version -> (pinned value, number of :class:`CatalogSnapshot` pins).
+        self._pins: Dict[int, Tuple[CatalogVersion, int]] = {}
         #: oldest version still reconstructible; raised by
         #: :meth:`prune_retired` when it reclaims blobs older versions need.
         self._floor_version = 0
 
-    # ------------------------------------------------------- invalidation
+    @property
+    def head(self) -> CatalogVersion:
+        """The current :class:`CatalogVersion`."""
+        return self._head
 
-    def add_invalidation_hook(
-        self, hook: Callable[[int, int], None]
-    ) -> None:
-        """Register a callback fired after every pruning-relevant commit.
+    @property
+    def catalog_version(self) -> int:
+        """Bumped once per commit: swap, write batch or sketch attach."""
+        return self._head.version
 
-        Hooks receive the new ``(catalog_version, pruning_version)`` stamp
-        and run outside the catalog mutex (they may take their own locks but
-        must not re-enter the manager's write path).  The semantic partition
-        cache registers here to drop entries memoized against older stamps.
+    # ------------------------------------------------------------- commits
+
+    def add_invalidation_hook(self, hook: Callable[[int], None]) -> None:
+        """Register a callback fired after every commit.
+
+        Hooks receive the new catalog version and run outside the mutex
+        (they may take their own locks but must not re-enter the manager's
+        write path).  The semantic partition cache registers here to drop
+        entries memoized against older versions.
         """
         with self._mutex:
             self._invalidation_hooks.append(hook)
 
-    def cache_token(self) -> Tuple[int, int]:
-        """The version stamp pruning memoization must key on.
+    def _publish(self, head: CatalogVersion, added=(), removed=()) -> None:
+        """Log the commit and make ``head`` current (mutex held)."""
+        self._history.append((head.version, added, removed))
+        self._head = head
 
-        Any difference in the token between memoize time and consult time
-        means a swap or a sketch rebuild may have changed a verdict; equal
-        tokens guarantee every catalog-derived pruning decision is still
-        exact.
-        """
-        with self._mutex:
-            return (self.catalog_version, self.pruning_version)
-
-    def _notify_invalidation(self) -> None:
-        with self._mutex:
-            hooks = tuple(self._invalidation_hooks)
-            stamp = (self.catalog_version, self.pruning_version)
-        for hook in hooks:
-            hook(*stamp)
+    def _notify_invalidation(self, version: int) -> None:
+        for hook in tuple(self._invalidation_hooks):
+            hook(version)
 
     # -------------------------------------------------------- materialize
 
@@ -288,17 +429,11 @@ class PartitionManager:
         """Read a just-staged blob back through the fault path; None when a
         decode succeeds within the retry budget, else the last error."""
         last_error: StorageError | None = None
-        catalog_tids = {
-            ordinal: tids
-            for ordinal, (tids, mode) in enumerate(
-                zip(info.segment_tids, info.segment_tid_modes)
-            )
-            if mode == TID_CATALOG
-        }
+        catalog_tids = info.catalog_tids() or None
         for _attempt in range(self.retry_policy.max_attempts):
             try:
                 data = self.store.get(info.key)
-                deserialize_partition(data, self.schema, catalog_tids or None)
+                deserialize_partition(data, self.schema, catalog_tids)
                 return None
             except StorageError as exc:
                 last_error = exc
@@ -322,12 +457,13 @@ class PartitionManager:
         a live partition and raises, leaving the old catalog fully intact —
         this is what makes migrations abort-safe.
 
-        The commit itself is pure in-memory bookkeeping: the catalog version
-        is bumped once, removed pids move to the *retired* set (still served
-        by :meth:`info`/:meth:`load` so in-flight queries planned against the
-        old catalog can finish, but absent from every index so new plans
-        never see them), added partitions are indexed, and the buffer-pool
-        entries of every touched pid are invalidated.  Call
+        The commit itself is pure in-memory bookkeeping: the next
+        :class:`CatalogVersion` is derived from the head — removed pids
+        dropped from every index, added partitions appended — and published
+        in one reference swap.  Removed pids move to the *retired* set (still
+        served by :meth:`info`/:meth:`load` so in-flight queries planned
+        against the old catalog can finish), and the buffer-pool entries of
+        every touched pid are invalidated.  Call
         :meth:`prune_retired` to reclaim retired blobs once no old-version
         reader remains.
         """
@@ -350,20 +486,15 @@ class PartitionManager:
         return infos
 
     def _swap_partitions(
-        self,
-        add: Sequence[PhysicalPartition],
-        remove: Iterable[int] = (),
-        verify: bool = False,
+        self, additions: List[PhysicalPartition], removals: Set[int], verify: bool
     ) -> List[PartitionInfo]:
-        additions = list(add)
-        removals = set(remove)
         added_pids = {physical.pid for physical in additions}
         if len(added_pids) != len(additions):
             raise InvalidPartitioningError("swap adds the same pid twice")
-        staged: List[Tuple[PhysicalPartition, PartitionInfo]] = []
+        staged: List[PartitionInfo] = []
         overwritten = {
             physical.pid for physical in additions
-            if physical.pid in self._catalog or physical.pid in self._retired
+            if physical.pid in self._head.infos or physical.pid in self._retired
         }
         try:
             for physical in additions:
@@ -371,9 +502,9 @@ class PartitionManager:
                 info = self._build_info(physical, data)
                 self.store.put(info.key, data)
                 self.device.invalidate(info.key)
-                staged.append((physical, info))
+                staged.append(info)
             if verify:
-                for _physical, info in staged:
+                for info in staged:
                     error = self._verify_readable(info)
                     if error is not None:
                         raise StorageError(
@@ -384,7 +515,7 @@ class PartitionManager:
             # Roll back: delete staged blobs unless they overwrote a live
             # key (an in-place replace destroyed the old bytes on put —
             # deleting would only lose the readable copy we still have).
-            for _physical, info in staged:
+            for info in staged:
                 if info.pid not in overwritten:
                     self.store.delete(info.key)
                     self.device.invalidate(info.key)
@@ -392,47 +523,32 @@ class PartitionManager:
 
         # ------------------------------------------------------------ commit
         with self._mutex:
-            pre_live = set(self._catalog)
-            retired_now: List[int] = []
-            self.catalog_version += 1
-            self.pruning_version += 1
-            for pid in sorted(removals | (added_pids & set(self._catalog))):
-                old = self._catalog.pop(pid, None)
-                if old is None:
-                    continue
-                for index in (self._attribute_index, self._replica_index):
-                    for pids in index.values():
-                        if pid in pids:
-                            pids.remove(pid)
-                if pid in removals and pid not in added_pids:
+            head = self._head
+            version = head.version + 1
+            replaced = sorted(pid for pid in removals | added_pids if pid in head.infos)
+            removed = tuple(head.infos[pid] for pid in replaced)
+            for old in removed:
+                if old.pid not in added_pids:
                     # Stamp the *retirement* version: a pruning pass with
                     # ``before_version=catalog_version`` then spares partitions
                     # retired by the current swap, so plans built just before
-                    # the commit can still finish against them.
-                    old.version = self.catalog_version
-                    self._retired[pid] = old
-                    retired_now.append(pid)
-                if self.buffer_pool is not None:
+                    # the commit can still finish against them.  Retire before
+                    # publishing, so a lock-free ``info`` never misses the pid.
+                    self._retired[old.pid] = replace(old, version=version)
+            for info in staged:
+                info.version = version
+            self._publish(
+                head.patched(version, replaced, sorted(staged, key=lambda i: i.pid)),
+                tuple(sorted(added_pids)),
+                removed,
+            )
+            for pid in added_pids:
+                self._retired.pop(pid, None)
+            if self.buffer_pool is not None:
+                for pid in sorted(set(replaced) | added_pids):
                     self.buffer_pool.invalidate(pid)
-            infos = []
-            for _physical, info in staged:
-                info.version = self.catalog_version
-                self._retired.pop(info.pid, None)
-                self._catalog[info.pid] = info
-                for attribute in info.attributes:
-                    self._attribute_index.setdefault(attribute, []).append(info.pid)
-                for attribute in info.replica_attributes - info.attributes:
-                    self._replica_index.setdefault(attribute, []).append(info.pid)
-                if self.buffer_pool is not None:
-                    self.buffer_pool.invalidate(info.pid)
-                infos.append(info)
-            self._history.append((
-                self.catalog_version,
-                tuple(sorted(added_pids - pre_live)),
-                tuple(sorted(retired_now)),
-            ))
-        self._notify_invalidation()
-        return infos
+        self._notify_invalidation(version)
+        return staged
 
     def add_partition(self, physical: PhysicalPartition) -> PartitionInfo:
         """Serialize one partition, write it, and index it."""
@@ -459,7 +575,6 @@ class PartitionManager:
         gone), which is what :class:`~repro.errors.SnapshotUnavailableError`
         reports.
         """
-        pruned = 0
         with self._mutex:
             min_pinned = min(self._pins) if self._pins else None
             doomed = []
@@ -486,8 +601,7 @@ class PartitionManager:
             self.device.invalidate(info.key)
             if self.buffer_pool is not None:
                 self.buffer_pool.invalidate(info.pid)
-            pruned += 1
-        return pruned
+        return len(doomed)
 
     # ---------------------------------------------------------- snapshots
 
@@ -497,38 +611,34 @@ class PartitionManager:
         The write path calls this when a delta-segment commit changes what a
         scan must return without touching any base partition: the catalog
         version is the transaction timeline, so every committed batch of
-        writes gets its own pinnable version.  Bumps the pruning version too
-        (delta contents change which tuples a cached pruning verdict may
-        cover) and fires the invalidation hooks.
+        writes gets its own pinnable version.  The new value shares every map
+        with the previous head.
         """
         with self._mutex:
-            self.catalog_version += 1
-            self.pruning_version += 1
-            self._history.append((self.catalog_version, (), ()))
-        self._notify_invalidation()
-        return self.catalog_version
+            head = self._head.advanced(self._head.version + 1)
+            self._publish(head)
+        self._notify_invalidation(head.version)
+        return head.version
 
     def pin_snapshot(self, version: int | None = None) -> "CatalogSnapshot":
-        """Pin a refcounted, immutable view of the catalog at ``version``.
+        """Pin a refcounted lease on the catalog value at ``version``.
 
-        Defaults to the current version.  The returned
-        :class:`CatalogSnapshot` freezes the *live pid set* of that version
-        (reconstructed by replaying the commit log backwards from the
-        current catalog); while pinned, :meth:`prune_retired` spares every
-        retired partition the snapshot still needs.  Release with
-        :meth:`CatalogSnapshot.release` (or use it as a context manager).
+        Defaults to the current version, whose value is the head itself; an
+        older version's value is rebuilt from the commit log.  Every pin of
+        one version shares one value.  While pinned, :meth:`prune_retired`
+        spares every retired partition the snapshot still needs.  Release
+        with :meth:`CatalogSnapshot.release` (or use it as a context manager).
 
         Raises :class:`~repro.errors.SnapshotUnavailableError` for future
         versions and for versions below the prune floor.
         """
         with self._mutex:
-            if version is None:
-                version = self.catalog_version
-            version = int(version)
-            if version > self.catalog_version:
+            head = self._head
+            version = head.version if version is None else int(version)
+            if version > head.version:
                 raise SnapshotUnavailableError(
                     f"cannot pin catalog version {version}: "
-                    f"current version is {self.catalog_version}"
+                    f"current version is {head.version}"
                 )
             if version < self._floor_version:
                 raise SnapshotUnavailableError(
@@ -536,36 +646,38 @@ class PartitionManager:
                     f"partitions below version {self._floor_version} were "
                     f"already pruned"
                 )
-            live = set(self._catalog)
-            for commit_version, added, retired in reversed(self._history):
-                if commit_version <= version:
-                    break
-                live.difference_update(added)
-                live.update(retired)
-            self._pins[version] = self._pins.get(version, 0) + 1
-            # The pinned token's second slot is -1, not the live pruning
-            # version: a pinned version's pid set and data are frozen, so a
-            # verdict computed against it stays valid forever — every pin of
-            # the same version must share one cache key, and -1 keeps pinned
-            # entries from ever colliding with live ``cache_token()`` keys.
-            return CatalogSnapshot(
-                self, version, frozenset(live), (version, -1)
-            )
+            catalog, count = self._pins.get(version, (None, 0))
+            if catalog is None:
+                catalog = head if version == head.version else self._rebuild(version)
+            self._pins[version] = (catalog, count + 1)
+        return CatalogSnapshot(self, catalog)
+
+    def _rebuild(self, version: int) -> CatalogVersion:
+        """The value the head had at ``version``: undo the logged commits
+        after it, newest first (mutex held)."""
+        infos = dict(self._head.infos)
+        for commit_version, added, removed in reversed(self._history):
+            if commit_version <= version:
+                break
+            for pid in added:
+                del infos[pid]
+            infos.update((info.pid, info) for info in removed)
+        return CatalogVersion.build(version, infos.values())
 
     def release_snapshot(self, snapshot: "CatalogSnapshot") -> None:
         """Drop one pin on ``snapshot``'s version (idempotence is the
         snapshot's job — :meth:`CatalogSnapshot.release` only calls once)."""
         with self._mutex:
-            count = self._pins.get(snapshot.version, 0)
+            catalog, count = self._pins.get(snapshot.version, (None, 0))
             if count <= 1:
                 self._pins.pop(snapshot.version, None)
             else:
-                self._pins[snapshot.version] = count - 1
+                self._pins[snapshot.version] = (catalog, count - 1)
 
     def snapshot_refcount(self) -> int:
         """Total outstanding snapshot pins across all versions."""
         with self._mutex:
-            return sum(self._pins.values())
+            return sum(count for _catalog, count in self._pins.values())
 
     def pinned_versions(self) -> Tuple[int, ...]:
         with self._mutex:
@@ -573,13 +685,12 @@ class PartitionManager:
 
     def floor_version(self) -> int:
         """Oldest catalog version that can still be pinned."""
-        with self._mutex:
-            return self._floor_version
+        return self._floor_version
 
     def next_pid(self) -> int:
         """Smallest pid never used by an active or retired partition."""
         with self._mutex:
-            used = set(self._catalog) | set(self._retired)
+            used = set(self._head.infos) | set(self._retired)
         return max(used, default=-1) + 1
 
     def materialize_plan(
@@ -683,13 +794,6 @@ class PartitionManager:
             delta.add(self.device.read_delta(info.key, info.n_bytes, chunk_size=chunk_size))
             if drain_latency is not None:
                 delta.io_time_s += drain_latency(info.key)
-            catalog_tids = {
-                ordinal: tids
-                for ordinal, (tids, mode) in enumerate(
-                    zip(info.segment_tids, info.segment_tid_modes)
-                )
-                if mode == TID_CATALOG
-            }
             decode_columns = columns
             if pool is not None and decode_columns is None:
                 # A pooled partition must be able to serve *any* later
@@ -697,7 +801,8 @@ class PartitionManager:
                 decode_columns = frozenset()
             try:
                 partition = deserialize_partition(
-                    data, self.schema, catalog_tids or None, columns=decode_columns
+                    data, self.schema, info.catalog_tids() or None,
+                    columns=decode_columns,
                 )
             except StorageError as exc:
                 # Corrupt on the wire or at rest: never cache, maybe retry.
@@ -723,175 +828,90 @@ class PartitionManager:
     ) -> None:
         """Attach (or clear, with ``None``) a partition's sketch set.
 
-        With ``persist`` the sketches are also written into the blob's
-        format-v2 trailer, replacing any previous one, so a rebuilt catalog
-        can recover them via :meth:`load_sketches`.  The accounted
+        Sketches change pruning verdicts, so attaching commits a new catalog
+        version.  With ``persist`` the sketches are first written into the
+        blob's format-v2 trailer, replacing any previous one, so a rebuilt
+        catalog can recover them via :meth:`load_sketches`.  The accounted
         ``n_bytes`` is untouched: like checksum overhead, the trailer exists
         in the file but charges nothing — attaching sketches must not
         perturb simulated I/O accounting.
         """
-        info = self.info(pid)
-        with self._mutex:
-            info.sketches = sketches
-            self.pruning_version += 1
         if persist:
-            data = strip_trailer(self.store.get(info.key))
+            key = self._head.info(pid).key
+            data = strip_trailer(self.store.get(key))
             if sketches is not None:
                 data = append_trailer(data, sketches.to_bytes())
-            self.store.put(info.key, data)
-            self.device.invalidate(info.key)
-        self._notify_invalidation()
+            self.store.put(key, data)
+            self.device.invalidate(key)
+        self._commit_sketches(pid, sketches)
 
     def load_sketches(self, pid: int) -> Optional[SketchSet]:
         """Recover a partition's sketches from its blob trailer (catalog
-        metadata path: reads raw bytes, charges no simulated I/O)."""
-        info = self.info(pid)
-        payload = read_trailer(self.store.get(info.key))
-        with self._mutex:
-            info.sketches = (
-                SketchSet.from_bytes(payload) if payload is not None else None
-            )
-            self.pruning_version += 1
-        self._notify_invalidation()
-        return info.sketches
+        metadata path: reads raw bytes, charges no simulated I/O) and commit
+        them as a new catalog version."""
+        payload = read_trailer(self.store.get(self._head.info(pid).key))
+        sketches = SketchSet.from_bytes(payload) if payload is not None else None
+        self._commit_sketches(pid, sketches)
+        return sketches
 
-    # ------------------------------------------------------------ indexes
+    def _commit_sketches(self, pid: int, sketches: Optional[SketchSet]) -> None:
+        with self._mutex:
+            head = self._head
+            old = head.info(pid)
+            head = head.advanced(head.version + 1, replace(old, sketches=sketches))
+            self._publish(head, (pid,), (old,))
+        self._notify_invalidation(head.version)
+
+    # ------------------------------------------------ indexes (lock-free)
 
     def info(self, pid: int) -> PartitionInfo:
         """Catalog entry for an active — or retired but unpruned — pid."""
-        with self._mutex:
-            entry = self._catalog.get(pid)
-            if entry is None:
-                entry = self._retired.get(pid)
+        entry = self._head.infos.get(pid)
         if entry is None:
-            raise PartitionNotFoundError(f"no partition with id {pid}")
+            entry = self._retired.get(pid)
+            if entry is None:
+                raise PartitionNotFoundError(f"no partition with id {pid}")
         return entry
 
     def pids(self) -> Tuple[int, ...]:
-        with self._mutex:
-            return tuple(sorted(self._catalog))
+        return self._head.pids()
 
     def retired_pids(self) -> Tuple[int, ...]:
         with self._mutex:
             return tuple(sorted(self._retired))
 
     def partitions_for_attribute(self, attribute: str) -> Tuple[int, ...]:
-        """Attribute-level index: partitions storing a *primary* cell of
-        ``attribute`` (replica copies are indexed separately)."""
-        with self._mutex:
-            return tuple(self._attribute_index.get(attribute, ()))
+        return self._head.partitions_for_attribute(attribute)
 
     def replica_partitions_for_attribute(self, attribute: str) -> Tuple[int, ...]:
-        """Partitions holding replica-only copies of ``attribute``."""
-        with self._mutex:
-            return tuple(self._replica_index.get(attribute, ()))
+        return self._head.replica_partitions_for_attribute(attribute)
 
     def partitions_for_attributes(self, attributes: Iterable[str]) -> Tuple[int, ...]:
-        pids: set = set()
-        with self._mutex:
-            for attribute in attributes:
-                pids.update(self._attribute_index.get(attribute, ()))
-        return tuple(sorted(pids))
+        return self._head.partitions_for_attributes(attributes)
 
     def partitions_with_missing_cells(
         self, attribute: str, tids: np.ndarray
     ) -> Tuple[int, ...]:
-        """Tuple-level index lookup used by the projection phase.
-
-        Returns the partitions that store ``attribute`` for at least one of
-        the given tuples.
-        """
-        with self._mutex:
-            candidates = [
-                (pid, self._catalog[pid])
-                for pid in self._attribute_index.get(attribute, ())
-            ]
-        hits = []
-        for pid, info in candidates:
-            if info.contains_attribute_of(attribute, tids):
-                hits.append(pid)
-        return tuple(hits)
-
-    def attribute_tids(self, pid: int, attribute: str) -> np.ndarray:
-        """Sorted unique tuple IDs for which ``pid`` stores a cell of
-        ``attribute`` — in *any* segment, primary or replica.
-
-        Catalog metadata only; usable even when the partition file itself is
-        unreadable, which is exactly when degraded reads need it.
-        """
-        info = self.info(pid)
-        holding = [
-            tids
-            for attrs, tids in zip(info.segment_attrs, info.segment_tids)
-            if attribute in attrs and len(tids)
-        ]
-        if not holding:
-            return np.empty(0, dtype=np.int64)
-        if len(holding) == 1:
-            return holding[0]
-        return np.unique(np.concatenate(holding))
-
-    def cover_attribute(
-        self, attribute: str, tids: np.ndarray, exclude: Iterable[int] = ()
-    ) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """Greedy cover of ``(attribute, tids)`` cells from other partitions.
-
-        Candidates are every partition holding ``attribute`` primarily or as
-        replicas, minus ``exclude`` (typically the unreadable partition).
-        Returns ``(chosen_pids, still_missing_tids)``; an empty second item
-        means full coverage.
-        """
-        excluded = frozenset(exclude)
-        remaining = np.unique(np.asarray(tids, dtype=np.int64))
-        chosen: List[int] = []
-        with self._mutex:
-            candidates = list(self._attribute_index.get(attribute, ())) + list(
-                self._replica_index.get(attribute, ())
-            )
-        for pid in candidates:
-            if pid in excluded or not len(remaining):
-                continue
-            held = self.attribute_tids(pid, attribute)
-            if not len(held):
-                continue
-            hit = np.isin(remaining, held, assume_unique=True)
-            if hit.any():
-                chosen.append(pid)
-                remaining = remaining[~hit]
-        return tuple(chosen), remaining
+        return self._head.partitions_with_missing_cells(attribute, tids)
 
     def total_bytes(self) -> int:
         """Total stored bytes across all partitions (storage footprint)."""
-        with self._mutex:
-            return sum(info.n_bytes for info in self._catalog.values())
+        return sum(info.n_bytes for info in self._head.infos.values())
 
     def __len__(self) -> int:
-        with self._mutex:
-            return len(self._catalog)
+        return len(self._head)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"PartitionManager({len(self._catalog)} partitions, "
+            f"PartitionManager({len(self)} partitions, "
             f"{self.total_bytes()} bytes, device={self.device.profile.name!r})"
         )
 
 
 class CatalogSnapshot:
-    """A pinned, immutable view of the catalog at one version.
-
-    Mirrors the manager's index API (:meth:`partitions_for_attribute`,
-    :meth:`partitions_for_attributes`, :meth:`partitions_with_missing_cells`,
-    :meth:`info`) over the frozen pid set, so the planner and the engines'
-    projection phase can substitute a snapshot for the live manager
-    wholesale.  Retired partitions the snapshot still references remain
-    loadable — pinning clamps :meth:`PartitionManager.prune_retired`.
-
-    ``token`` is ``(version, -1)`` — the cache key the semantic partition
-    cache uses for pinned plans instead of the live
-    :meth:`PartitionManager.cache_token`.  The pinned version's pid set and
-    partition data are frozen, so every pin of the same version shares the
-    key (``AS OF`` replays reuse each other's verdicts across later churn),
-    while the -1 slot keeps pinned entries disjoint from live tokens.
+    """A refcounted pin on one :class:`CatalogVersion`, whose index methods
+    serve a pinned plan.  Retired partitions the snapshot still references
+    remain loadable — pinning clamps :meth:`PartitionManager.prune_retired`.
 
     ``valid_mask`` is an optional dense boolean array over the tuple-id
     domain set by the transactional layer: True for tids a *base* scan may
@@ -906,24 +926,21 @@ class CatalogSnapshot:
     repartitioner and the delta compactor emit.
     """
 
-    __slots__ = ("manager", "version", "pids", "token", "valid_mask",
-                 "_released")
+    __slots__ = ("manager", "catalog", "valid_mask", "_released")
 
-    def __init__(
-        self,
-        manager: PartitionManager,
-        version: int,
-        pids: frozenset,
-        token: Tuple[int, int],
-    ):
+    def __init__(self, manager: PartitionManager, catalog: CatalogVersion):
         self.manager = manager
-        self.version = version
-        self.pids = pids
-        self.token = token
+        self.catalog = catalog
         self.valid_mask: Optional[np.ndarray] = None
         self._released = False
 
-    # ------------------------------------------------------------ lifetime
+    @property
+    def version(self) -> int:
+        return self.catalog.version
+
+    @property
+    def pids(self) -> frozenset:
+        return frozenset(self.catalog.infos)
 
     def release(self) -> None:
         if not self._released:
@@ -936,40 +953,19 @@ class CatalogSnapshot:
     def __exit__(self, *exc) -> None:
         self.release()
 
-    # ----------------------------------------------- manager-shaped index
-
     def info(self, pid: int) -> PartitionInfo:
-        return self.manager.info(pid)
+        return self.catalog.info(pid)
 
     def partitions_for_attribute(self, attribute: str) -> Tuple[int, ...]:
-        return tuple(
-            pid for pid in sorted(self.pids)
-            if attribute in self.manager.info(pid).attributes
-        )
+        return self.catalog.partitions_for_attribute(attribute)
 
-    def partitions_for_attributes(
-        self, attributes: Iterable[str]
-    ) -> Tuple[int, ...]:
-        wanted = set(attributes)
-        return tuple(
-            pid for pid in sorted(self.pids)
-            if wanted & self.manager.info(pid).attributes
-        )
+    def partitions_for_attributes(self, attributes: Iterable[str]) -> Tuple[int, ...]:
+        return self.catalog.partitions_for_attributes(attributes)
 
     def partitions_with_missing_cells(
         self, attribute: str, tids: np.ndarray
     ) -> Tuple[int, ...]:
-        hits = []
-        for pid in sorted(self.pids):
-            info = self.manager.info(pid)
-            if attribute not in info.attributes:
-                continue
-            if info.contains_attribute_of(attribute, tids):
-                hits.append(pid)
-        return tuple(hits)
+        return self.catalog.partitions_with_missing_cells(attribute, tids)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CatalogSnapshot(version={self.version}, "
-            f"{len(self.pids)} partitions)"
-        )
+        return f"CatalogSnapshot(version={self.version}, {len(self.catalog)} partitions)"

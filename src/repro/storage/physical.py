@@ -40,6 +40,7 @@ __all__ = [
     "SegmentSpec",
     "build_physical_partition",
     "physical_from_logical",
+    "sorted_unique",
 ]
 
 TID_EXPLICIT = "explicit"
@@ -132,12 +133,6 @@ class PhysicalPartition:
                 attrs |= frozenset(segment.attributes)
         return attrs
 
-    def all_tuple_ids(self) -> np.ndarray:
-        """Sorted unique tuple IDs stored anywhere in the partition."""
-        if not self.segments:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([segment.tuple_ids for segment in self.segments]))
-
     def disk_bytes(self, schema: TableSchema, tuple_id_bytes: int = 8) -> int:
         return sum(segment.disk_bytes(schema, tuple_id_bytes) for segment in self.segments)
 
@@ -167,6 +162,21 @@ class SegmentSpec:
     def __post_init__(self) -> None:
         if not self.attributes:
             raise InvalidPartitioningError("segment spec needs at least one attribute")
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` for tuple-id arrays: sort, then drop adjacent duplicates.
+
+    Same output as ``np.unique``, at a fraction of its cost on the (mostly
+    already sorted) tid arrays the catalog builds from.
+    """
+    ordered = np.sort(values)
+    if len(ordered) < 2:
+        return ordered
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def _natural_run(tids: np.ndarray) -> bool:
@@ -202,7 +212,7 @@ def build_physical_partition(
     segments: List[PhysicalSegment] = []
     for attrs in order:
         tids = np.concatenate(grouped[attrs]) if grouped[attrs] else np.empty(0, np.int64)
-        tids = np.unique(tids)
+        tids = sorted_unique(tids)
         if not len(tids):
             continue
         mode = tid_storage

@@ -7,7 +7,7 @@ evaluation — deliberately trivial, no partitioning, no indexes, nothing
 shared with the engines under test.  :func:`run_differential_oracle`
 generates seeded random (table, workload, query) cases, materializes each
 table under every layout family, runs each query through every engine, and
-compares the :class:`~repro.engine.result.ResultSet`s bit for bit.
+compares the :class:`~repro.plan.result.ResultSet`s bit for bit.
 
 A disagreement is reported, never silently tolerated: either an engine is
 wrong, a layout dropped cells, or the reference itself is — any of which is
@@ -26,7 +26,7 @@ from ..core.schema import TableSchema
 from ..engine.parallel import ThreadedPartitionEngine
 from ..engine.partition_at_a_time import PartitionAtATimeExecutor
 from ..engine.replicated import ReplicatedExecutor
-from ..engine.result import ResultSet
+from ..plan.result import ResultSet
 from ..engine.scan import ScanExecutor
 from ..layouts import (
     BuildContext,

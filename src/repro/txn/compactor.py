@@ -32,6 +32,7 @@ import numpy as np
 
 from ..errors import TransactionError
 from ..obs import tracer as obs_tracer
+from ..storage.partition_manager import CatalogVersion
 from ..storage.physical import TID_EXPLICIT, SegmentSpec, build_physical_partition
 from .delta import DeltaSegment, DeltaState
 
@@ -102,7 +103,7 @@ class DeltaCompactor:
 
     # ------------------------------------------------------------- planning
 
-    def _plan(self, state: DeltaState) -> _Plan:
+    def _plan(self, state: DeltaState, catalog: CatalogVersion) -> _Plan:
         plan = _Plan()
         if self.bytes_budget is not None:
             plan.budget_left = float(self.bytes_budget)
@@ -118,8 +119,7 @@ class DeltaCompactor:
         if not len(tombs):
             return plan
         dirty: List[Tuple[int, int, int]] = []  # (n_dead, n_bytes, pid)
-        for pid in self.manager.pids():
-            info = self.manager.info(pid)
+        for pid, info in sorted(catalog.infos.items()):
             n_dead = int(np.isin(info.tuple_ids(), tombs).sum())
             if n_dead:
                 dirty.append((n_dead, info.n_bytes, pid))
@@ -155,7 +155,8 @@ class DeltaCompactor:
             state = table.delta_state()
             if not state.segments and not state.tombstones:
                 return CompactionReport()
-            plan = self._plan(state)
+            catalog = self.manager.head
+            plan = self._plan(state, catalog)
             if not plan.fold_segments and not plan.scope_pids:
                 return CompactionReport(
                     n_segments_deferred=len(plan.defer_segments),
@@ -174,8 +175,8 @@ class DeltaCompactor:
             # those again would double-place their tids.  They only need the
             # base-validity event, not a new partition.
             covered = np.zeros(table.data.n_tuples, dtype=bool)
-            for pid in self.manager.pids():
-                covered[self.manager.info(pid).tuple_ids()] = True
+            for info in catalog.infos.values():
+                covered[info.tuple_ids()] = True
             for segment in plan.fold_segments:
                 dead = np.isin(segment.tids, tombs)
                 removed_tombstones.update(
@@ -197,7 +198,7 @@ class DeltaCompactor:
                 next_pid += 1
             dropped_tids: List[np.ndarray] = []
             for pid in plan.scope_pids:
-                info = self.manager.info(pid)
+                info = catalog.info(pid)
                 dead_here = info.tuple_ids()[
                     np.isin(info.tuple_ids(), tombs)
                 ]

@@ -276,10 +276,6 @@ class TransactionalTable:
         self._pending.append(record)
         return record
 
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
     def rollback(self) -> int:
         """Drop every buffered (uncommitted) write."""
         with self._lock:
@@ -617,11 +613,6 @@ class TransactionalTable:
             # exact rather than additive.
             stats.charge_cpu(cpu_model)
         return merged, stats
-
-    def execute_as_of(
-        self, query: Query, version: int
-    ) -> Tuple[ResultSet, ExecutionStats]:
-        return self.execute(query, as_of=version)
 
     # ------------------------------------------------------------- obs
 

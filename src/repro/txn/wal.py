@@ -199,10 +199,6 @@ class WriteAheadLog:
             self.stats.n_appends += 1
         return record
 
-    def pending_records(self) -> Tuple[WalRecord, ...]:
-        with self._lock:
-            return tuple(self._pending)
-
     def discard_pending(self) -> int:
         """Drop buffered (uncommitted) records — a rollback."""
         with self._lock:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine import ResultSet, aggregate, group_aggregate, revenue
+from repro.engine import aggregate, group_aggregate, revenue
+from repro.plan import ResultSet
 from repro.errors import InvalidQueryError
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import obs
@@ -161,6 +163,21 @@ def test_worker_spans_nest_across_threads(demo, strategy):
     query = next(
         q for q in workload.queries if q.where
     )
+    # Hold the first loading worker until a second one loads too.  Without
+    # it one worker can drain the whole queue before the others start, and
+    # a thread started after another exited may reuse its thread id.
+    paired = threading.Barrier(2, timeout=10.0)
+    load = engine._worker_load
+
+    def paired_load(*args):
+        try:
+            paired.wait()
+            paired.abort()  # later loads pass straight through
+        except threading.BrokenBarrierError:
+            pass
+        return load(*args)
+
+    engine._worker_load = paired_load
     with obs.scoped_trace() as collector:
         engine.execute(query)
     spans = collector.spans()

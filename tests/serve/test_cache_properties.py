@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.engine import PartitionAtATimeExecutor
 from repro.layouts import BuildContext, IrregularLayout
 from repro.serve import PartitionCache, predicate_signature
+from repro.storage.sketches import DictSketch, SketchSet
 from repro.testing.oracle import (
     random_query,
     random_table,
@@ -107,22 +108,40 @@ class TestCoherence:
         # cached verdict must become unreachable.
         pid = manager.pids()[0]
         partition, _ = manager.load(pid)
-        token_before = manager.cache_token()
+        version_before = manager.catalog_version
         manager.swap_partitions([partition])
-        assert manager.cache_token() != token_before
+        assert manager.catalog_version != version_before
         assert len(cache) == 0  # the invalidation hook reclaimed the entry
         assert cache.stats.n_invalidated >= 1
 
         result, _ = engine.execute(query)
         assert result.equals(expected)
-        assert cache.stats.n_misses == 2  # new token: a miss, not a replay
+        assert cache.stats.n_misses == 2  # new version: a miss, not a replay
 
-    def test_sketch_rebuild_bumps_the_token(self, irregular_layout):
+    def test_sketch_attach_bumps_the_version(
+        self, irregular_layout, serve_table
+    ):
         manager = irregular_layout.manager
-        before = manager.cache_token()
-        manager.pruning_version += 1
-        manager._notify_invalidation()
-        assert manager.cache_token() != before
+        cache = PartitionCache(manager)
+        engine = PartitionAtATimeExecutor(
+            manager, serve_table.meta, zone_maps=True, partition_cache=cache
+        )
+        query = random_query(
+            np.random.default_rng(7), serve_table, label="q"
+        )
+        engine.execute(query)
+        assert len(cache) == 1
+        before = manager.catalog_version
+        pid = manager.pids()[0]
+        attribute = sorted(manager.info(pid).attributes)[0]
+        values = np.unique(serve_table.column(attribute))
+        manager.attach_sketches(
+            pid, SketchSet(by_attr={attribute: DictSketch(attribute, values)})
+        )
+        assert manager.catalog_version == before + 1
+        assert len(cache) == 0  # the verdicts may have used the old sketches
+        engine.execute(query)
+        assert cache.stats.n_misses == 2
 
     def test_reordered_conjuncts_share_one_entry(
         self, irregular_layout, serve_table

@@ -377,20 +377,6 @@ class ThreadedPartitionEngine:
         preloaded partitions' tuples by bucket range.
         """
         projected = plan.logical.projected
-        index = plan.index
-        missing_pids: set = set()
-        for tid, row in ret.items():
-            if status[tid] != _VALID:
-                continue
-            for name in projected:
-                if name not in row:
-                    tids = np.array([tid], dtype=np.int64)
-                    missing_pids.update(
-                        index.partitions_with_missing_cells(name, tids)
-                    )
-        if not missing_pids:
-            return
-        wanted = plan.logical.projection_columns
 
         def still_missing() -> Dict[str, np.ndarray]:
             return {
@@ -405,6 +391,13 @@ class ThreadedPartitionEngine:
                 for name in projected
             }
 
+        missing_pids: set = set()
+        for name, tids in still_missing().items():
+            if len(tids):
+                missing_pids.update(plan.index.partitions_with_missing_cells(name, tids))
+        if not missing_pids:
+            return
+        wanted = plan.logical.projection_columns
         partitions: List = []
         reader = PlanReader(self.manager, stats, fctx, prefetcher=prefetcher)
         degrade = DegradeOp(self.manager, stats, fctx)

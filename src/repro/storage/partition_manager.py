@@ -3,12 +3,17 @@
 Stores each partition in one file (blob), charges reads through the storage
 device, and maintains the two indexes of the paper: the *attribute-level*
 index (attribute -> partitions storing it) and the *tuple-level* index
-(which partitions store a given tuple's cells).  The tuple-level index is
-kept as per-segment sorted tuple-ID arrays, which supports the projection
-phase's "partitions containing attribute ``a`` of tuple ``t``" lookups.
-Both live in one immutable :class:`CatalogVersion` per catalog version:
-every commit builds the next value and swaps one reference, readers never
-lock, and a pinned :class:`CatalogSnapshot` is a lease on one value.
+(which partitions store a given tuple's cells).  Both live in one immutable
+:class:`CatalogVersion` per catalog version: every commit builds the next
+value and swaps one reference, readers never lock, and a pinned
+:class:`CatalogSnapshot` is a lease on one value.
+
+The tuple-level index answers the projection phase's "partitions holding
+attribute ``a`` for these tuples" lookups from a per-attribute *owner
+array*: a dense tid-indexed array naming each cell's primary partition,
+plus a small sorted overflow for the rare cell with several primary homes.
+Each owner array is derived from the value's per-segment tid arrays on its
+first lookup and memoized on the value — the one mutable cache it carries.
 """
 
 from __future__ import annotations
@@ -81,8 +86,6 @@ class PartitionInfo:
     segment_replicas: List[bool] = field(default_factory=list)
     replica_attributes: frozenset = frozenset()
     full_coverage_attrs: frozenset = frozenset()
-    #: per-segment ``(min_tid, max_tid)``; ``(-1, -1)`` for empty segments.
-    segment_tid_bounds: List[Tuple[int, int]] = field(default_factory=list)
     #: catalog version at which this partition became visible; a retired
     #: entry is re-stamped with the version that retired it.
     version: int = 0
@@ -90,14 +93,6 @@ class PartitionInfo:
     #: :mod:`repro.storage.sketches`); ``None`` when none were built.
     sketches: Optional[SketchSet] = None
     _tuple_ids_cache: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.segment_tid_bounds:
-            # ``segment_tids`` arrive sorted, so the bounds are the endpoints.
-            self.segment_tid_bounds = [
-                (int(tids[0]), int(tids[-1])) if len(tids) else (-1, -1)
-                for tids in self.segment_tids
-            ]
 
     def tuple_ids(self) -> np.ndarray:
         """Sorted unique tuple IDs with a primary cell in the partition.
@@ -151,26 +146,6 @@ class PartitionInfo:
         zone_lo, zone_hi = bounds
         return zone_hi < lo or zone_lo > hi
 
-    def contains_attribute_of(self, attribute: str, tids: np.ndarray) -> bool:
-        """True when a *primary* segment stores ``attribute`` for any ``tids``."""
-        if not len(tids):
-            return False
-        query_lo, query_hi = int(tids.min()), int(tids.max())
-        for attrs, seg_tids, replica, (seg_lo, seg_hi) in zip(
-            self.segment_attrs,
-            self.segment_tids,
-            self.segment_replicas,
-            self.segment_tid_bounds,
-        ):
-            if replica or attribute not in attrs:
-                continue
-            # Disjoint tid ranges cannot intersect — skip the searchsorted.
-            if seg_hi < query_lo or seg_lo > query_hi:
-                continue
-            if _contains_any(seg_tids, tids):
-                return True
-        return False
-
 
 def _full_coverage(info: PartitionInfo) -> frozenset:
     """Attributes (primary or replica) stored for every tuple of the partition."""
@@ -185,14 +160,49 @@ def _full_coverage(info: PartitionInfo) -> frozenset:
     return frozenset(a for a, count in coverage.items() if count >= len(all_tids))
 
 
-def _contains_any(sorted_tids: np.ndarray, tids: np.ndarray) -> bool:
-    if not len(sorted_tids) or not len(tids):
-        return False
-    positions = np.searchsorted(sorted_tids, tids)
-    in_bounds = positions < len(sorted_tids)
-    if not np.any(in_bounds):
-        return False
-    return bool(np.any(sorted_tids[positions[in_bounds]] == tids[in_bounds]))
+#: One attribute's tuple-level index: the dense owner array (``slot + 2``
+#: per tid, ``0`` for no primary home, ``1`` for several) and the overflow
+#: ``(tids, slots)`` listing every home of each multi-home tid, sorted.
+Owners = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _build_owners(infos: Mapping[int, PartitionInfo], attribute: str,
+                  pids: Tuple[int, ...]) -> Owners:
+    """The owner array of ``attribute`` over the partitions ``pids``, where
+    a slot is a pid's position in ``pids``."""
+    held: List[np.ndarray] = []
+    for pid in pids:
+        info = infos[pid]
+        primary = [
+            tids
+            for attrs, tids, replica in zip(
+                info.segment_attrs, info.segment_tids, info.segment_replicas
+            )
+            if not replica and attribute in attrs and len(tids)
+        ]
+        if len(primary) == 1:
+            held.append(primary[0])
+        else:
+            held.append(sorted_unique(np.concatenate([np.empty(0, np.int64), *primary])))
+    # ``segment_tids`` are sorted, so each array's last entry is its largest.
+    size = max((int(tids[-1]) + 1 for tids in held if len(tids)), default=0)
+    owners = np.zeros(size, dtype=np.min_scalar_type(len(pids) + 1))
+    clashes: List[np.ndarray] = []
+    for slot, tids in enumerate(held):
+        current = owners[tids]
+        owners[tids] = slot + 2
+        taken = current != 0
+        if taken.any():
+            clash, previous = tids[taken], current[taken]
+            single = previous >= 2
+            clashes.append(np.stack([clash[single], previous[single] - 2], axis=1))
+            clashes.append(np.stack([clash, np.full(len(clash), slot)], axis=1))
+            owners[clash] = 1
+    if not clashes:
+        empty = np.empty(0, np.int64)
+        return owners, empty, empty
+    overflow = np.unique(np.concatenate(clashes).astype(np.int64), axis=0)
+    return owners, overflow[:, 0].copy(), overflow[:, 1].copy()
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -203,17 +213,24 @@ class CatalogVersion:
     partitions live at that version, and the paper's attribute-level index:
     ``(attribute, replica_only) -> pids``, in the order the partitions became
     visible (by ``(info.version, pid)``, which the greedy degraded-read cover
-    walks).  The tuple-level index is the infos' per-segment tid arrays.
+    walks).  The tuple-level index is one :data:`Owners` per attribute: the
+    primary partition of every tid, as a position in
+    :meth:`partitions_for_attribute`, plus an overflow for tids with several
+    primary homes.
 
-    Nothing here is mutated after construction: each commit derives the next
-    value (:meth:`patched`, :meth:`advanced`) and the manager swaps one
-    reference, so a verdict computed against a value stays exact for as long
-    as anyone holds it.
+    Each commit derives the next value (:meth:`patched`, :meth:`advanced`)
+    and the manager swaps one reference, so a verdict computed against a
+    value stays exact for as long as anyone holds it.  The one mutable part
+    is ``_owners``, the memo of owner arrays built so far: each is derived
+    from the value's own infos on its first lookup, so a racing rebuild
+    stores an identical array, and a derived value carries over only the
+    entries its commit left valid.
     """
 
     version: int
     infos: Mapping[int, PartitionInfo]
     index: Mapping[Tuple[str, bool], Tuple[int, ...]]
+    _owners: Dict[str, Owners] = field(default_factory=dict)
 
     @classmethod
     def build(cls, version: int, infos: Iterable[PartitionInfo]) -> "CatalogVersion":
@@ -225,9 +242,10 @@ class CatalogVersion:
         self, version: int, info: Optional[PartitionInfo] = None
     ) -> "CatalogVersion":
         """This catalog under a new version, optionally with one entry swapped
-        for one holding the same attributes (a sketch attach)."""
+        for one holding the same segments (a sketch attach).  No owner array
+        changes, so the two values share one memo."""
         infos = self.infos if info is None else {**self.infos, info.pid: info}
-        return CatalogVersion(version, infos, self.index)
+        return CatalogVersion(version, infos, self.index, self._owners)
 
     def patched(
         self, version: int, removed: Iterable[int], added: Sequence[PartitionInfo]
@@ -235,21 +253,28 @@ class CatalogVersion:
         """Drop the ``removed`` pids, then append ``added`` in order.
 
         Copies the maps once and rebuilds only the pid tuples of attributes
-        the changed partitions hold — no full re-index per commit.
+        the changed partitions hold — no full re-index per commit — and
+        keeps the memoized owner arrays of every other attribute.
         """
         infos = dict(self.infos)
         gone = {pid: infos.pop(pid) for pid in removed}
         infos.update((info.pid, info) for info in added)
         keys = {info.pid: _index_keys(info) for info in added}
+        touched = set().union(*keys.values(), *map(_index_keys, gone.values()))
         index = dict(self.index)
-        for key in set().union(*keys.values(), *map(_index_keys, gone.values())):
+        for key in touched:
             pids = tuple(pid for pid in index.get(key, ()) if pid not in gone)
             pids += tuple(info.pid for info in added if key in keys[info.pid])
             if pids:
                 index[key] = pids
             else:
                 index.pop(key, None)
-        return CatalogVersion(version, infos, index)
+        # ``dict.copy`` is atomic, unlike iterating a memo readers may fill.
+        owners = self._owners.copy()
+        for attribute, replica in touched:
+            if not replica:
+                owners.pop(attribute, None)
+        return CatalogVersion(version, infos, index, owners)
 
     def info(self, pid: int) -> PartitionInfo:
         try:
@@ -278,11 +303,27 @@ class CatalogVersion:
         self, attribute: str, tids: np.ndarray
     ) -> Tuple[int, ...]:
         """Tuple-level index lookup used by the projection phase: the
-        partitions that store ``attribute`` for at least one of ``tids``."""
-        return tuple(
-            pid for pid in self.partitions_for_attribute(attribute)
-            if self.infos[pid].contains_attribute_of(attribute, tids)
-        )
+        partitions that store a primary cell of ``attribute`` for at least
+        one of ``tids``, in :meth:`partitions_for_attribute` order."""
+        pids = self.partitions_for_attribute(attribute)
+        if not pids:
+            return ()
+        owners, overflow_tids, overflow_slots = self._owner_index(attribute, pids)
+        tids = np.asarray(tids, dtype=np.int64)
+        probe = tids[(tids >= 0) & (tids < len(owners))]
+        hit = np.zeros(len(pids) + 2, dtype=bool)
+        hit[owners[probe]] = True
+        if hit[1]:
+            several = np.isin(overflow_tids, probe)
+            hit[overflow_slots[several] + 2] = True
+        return tuple(pids[slot] for slot in np.flatnonzero(hit[2:]))
+
+    def _owner_index(self, attribute: str, pids: Tuple[int, ...]) -> Owners:
+        owners = self._owners.get(attribute)
+        if owners is None:
+            owners = _build_owners(self.infos, attribute, pids)
+            self._owners[attribute] = owners
+        return owners
 
     def cover_attribute(
         self, attribute: str, tids: np.ndarray, exclude: Iterable[int] = ()

@@ -108,6 +108,69 @@ class TestIndexes:
         empty = np.empty(0, np.int64)
         assert manager.partitions_with_missing_cells("a1", empty) == ()
 
+    def test_tuple_index_multi_home(self, manager, small_table):
+        # Overlapping partitions give tids 100..199 two primary homes.
+        manager.materialize_specs(
+            [
+                [SegmentSpec(("a1",), np.arange(0, 200))],
+                [SegmentSpec(("a1", "a2"), np.arange(100, 300))],
+            ],
+            small_table,
+        )
+        both = np.array([150], np.int64)
+        assert manager.partitions_with_missing_cells("a1", both) == (0, 1)
+        assert manager.partitions_with_missing_cells("a1", np.array([250, 50])) == (0, 1)
+        assert manager.partitions_with_missing_cells("a1", np.array([250])) == (1,)
+        assert manager.partitions_with_missing_cells("a2", both) == (1,)
+
+    def test_tuple_index_ignores_replica_segments(self, manager, small_table):
+        from repro.storage.physical import PhysicalSegment
+
+        materialize_two_partitions(manager, small_table)
+        n = small_table.n_tuples
+        high_tids = np.arange(n // 2, n, dtype=np.int64)
+        # Replicate a2 of the second half into partition 0: a2 stays primary
+        # there for the first half only.
+        partition, _io = manager.load(0)
+        partition.segments.append(PhysicalSegment(
+            attributes=("a2",),
+            tuple_ids=high_tids,
+            columns=small_table.gather(("a2",), high_tids),
+            tid_storage=TID_CATALOG,
+            replica=True,
+        ))
+        manager.replace_partition(partition)
+        assert manager.replica_partitions_for_attribute("a2") == ()
+        assert manager.partitions_with_missing_cells("a2", high_tids) == ()
+        assert manager.partitions_with_missing_cells("a2", np.array([0, n - 1])) == (0,)
+
+    def test_owner_arrays_of_a_wide_table_are_uint8(self):
+        from repro import Query, TableSchema, Workload
+        from repro.layouts import BuildContext, IrregularLayout
+        from repro.storage import ColumnTable, DeviceProfile
+
+        rng = np.random.default_rng(0)
+        names = [f"a{i}" for i in range(1, 25)]
+        columns = {name: rng.integers(0, 100_000, 6_000).astype(np.int32) for name in names}
+        table = ColumnTable.build("T", TableSchema.uniform(names), columns)
+        wide = ["a2", "a3", "a4", "a5", "a6", "a7", "a9", "a10"]
+        train = Workload(table.meta, [
+            Query.build(table.meta, wide, {"a1": (0, 9_999)}),
+            Query.build(table.meta, wide, {"a8": (90_000, 99_999)}),
+            Query.build(table.meta, ["a15", "a16", "a17", "a18"], {"a20": (40_000, 44_999)}),
+        ])
+        ctx = BuildContext(
+            device_profile=DeviceProfile.from_throughput("hdd", 75.0, 0.000001),
+            file_segment_bytes=16 * 1024,
+        )
+        head = IrregularLayout().build(table, train, ctx).manager.head
+        all_tids = np.arange(table.n_tuples, dtype=np.int64)
+        for name in names:
+            pids = head.partitions_for_attribute(name)
+            assert 0 < len(pids) <= 254
+            assert head.partitions_with_missing_cells(name, all_tids) == pids
+            assert head._owners[name][0].dtype == np.uint8, name
+
     def test_info_exposes_zone_maps(self, manager, small_table):
         materialize_two_partitions(manager, small_table)
         info = manager.info(0)

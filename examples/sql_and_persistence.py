@@ -13,8 +13,9 @@ import io
 import numpy as np
 
 from repro import CostModel, IOModel, JigsawPartitioner, PartitionerConfig, TableSchema, Workload
-from repro.engine import PartitionAtATimeExecutor, aggregate
+from repro.engine import PartitionAtATimeExecutor
 from repro.persistence import load_plan, save_plan
+from repro.plan import AggSpec, ColumnRef, ExecutionStats, GroupAggOp, Relation
 from repro.sql import parse_query
 from repro.storage import BALOS_HDD, ColumnTable, PartitionManager, StorageDevice
 
@@ -70,10 +71,16 @@ def main() -> None:
         table.meta, "SELECT c1, c2 FROM sensors WHERE c0 BETWEEN 100 AND 499"
     )
     result, stats = engine.execute(query)
-    summary = aggregate(result, {"c1": "mean", "c2": "max"})
+    # Scalar aggregates over the result: the operator the DAG runs for GROUP BY.
+    mean_c1 = AggSpec("mean", ColumnRef("sensors", "c1"))
+    max_c2 = AggSpec("max", ColumnRef("sensors", "c2"))
+    summary = GroupAggOp(keys=(), aggs=(mean_c1, max_c2)).run(
+        Relation.from_result("sensors", result), ExecutionStats()
+    )
     print(
         f"ad-hoc SQL: {result.n_tuples} rows, {stats.bytes_read:,} bytes read, "
-        f"mean(c1)={summary['mean(c1)']:.1f}, max(c2)={summary['max(c2)']:.0f}"
+        f"mean(c1)={summary.column(mean_c1.name)[0]:.1f}, "
+        f"max(c2)={summary.column(max_c2.name)[0]:.0f}"
     )
 
 

@@ -26,10 +26,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ...core.query import Query, Workload
-from ...engine.aggregates import group_aggregate
 from ...layouts import IrregularLayout
 from ...plan.dag import Catalog, DagExecutor
 from ...plan.relational import AggSpec, ColumnRef, JoinCondition, RelationalQuery
+from ...plan.relops import GroupAggOp, Relation
+from ...plan.stats import ExecutionStats
 from ...storage.table_data import ColumnTable
 from ...workloads.tpch import denormalize, generate_tpch
 from ..environments import BALOS, MACHINES, scaled_context
@@ -114,7 +115,7 @@ def _join_query(orders: ColumnTable) -> RelationalQuery:
 def _denorm_totals(
     denorm: ColumnTable, key_range: Tuple[int, int]
 ) -> Dict[int, Tuple[float, int]]:
-    """The same aggregate off the denormalized table via the legacy path."""
+    """The same aggregate off the denormalized single-table scan."""
     query = Query.build(
         denorm.meta,
         ["l_returnflag", "l_extendedprice"],
@@ -124,18 +125,18 @@ def _denorm_totals(
     from ...testing.oracle import run_reference_query
 
     result = run_reference_query(denorm, query)
-    groups = group_aggregate(
-        result, by="l_returnflag", spec={"l_extendedprice": "sum"}
-    )
-    counts = group_aggregate(
-        result, by="l_returnflag", spec={"l_returnflag": "count"}
+    total = AggSpec("sum", ColumnRef("lineitem", "l_extendedprice"))
+    count = AggSpec("count", None)
+    groups = GroupAggOp(keys=("lineitem.l_returnflag",), aggs=(total, count)).run(
+        Relation.from_result("lineitem", result), ExecutionStats()
     )
     return {
-        int(key): (
-            entry["sum(l_extendedprice)"],
-            int(counts[key]["count(l_returnflag)"]),
+        int(key): (float(sums), int(n))
+        for key, sums, n in zip(
+            groups.column("lineitem.l_returnflag"),
+            groups.column(total.name),
+            groups.column(count.name),
         )
-        for key, entry in groups.items()
     }
 
 

@@ -585,7 +585,7 @@ def main(argv: List[str] | None = None) -> int:
         "sql",
         nargs="?",
         default=None,
-        help="SQL statement for the explain command",
+        help="SQL statement for the explain and write commands",
     )
     parser.add_argument(
         "--set",
@@ -775,35 +775,23 @@ def main(argv: List[str] | None = None) -> int:
     # trailing SQL positional after option flags.
     args = parser.parse_intermixed_args(argv)
 
+    if args.sql is not None and args.experiment not in ("explain", "write"):
+        raise SystemExit(
+            "a SQL argument is only valid with the explain or write commands"
+        )
     if args.experiment == "explain":
         return _run_explain(args)
     if args.experiment == "profile":
-        if args.sql is not None:
-            raise SystemExit(
-                "a SQL argument is only valid with the explain command"
-            )
         return _run_profile(args)
     if args.experiment == "serve":
-        if args.sql is not None:
-            raise SystemExit(
-                "a SQL argument is only valid with the explain command"
-            )
         return _run_serve(args)
     if args.experiment == "write":
         return _run_write(args)
     if args.experiment in ("health", "regress"):
-        if args.sql is not None:
-            raise SystemExit(
-                "a SQL argument is only valid with the explain command"
-            )
         return (
             _run_health(args)
             if args.experiment == "health"
             else _run_regress(args)
-        )
-    if args.sql is not None:
-        raise SystemExit(
-            "a SQL argument is only valid with the explain or write commands"
         )
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

@@ -12,7 +12,6 @@ from .partition_at_a_time import (
     STATUS_VALID,
     PartitionAtATimeExecutor,
 )
-from .aggregates import aggregate, group_aggregate, revenue
 from .parallel import ThreadedPartitionEngine
 from .replicated import ReplicatedExecutor
 from .scan import ScanExecutor
@@ -20,9 +19,6 @@ from .scan import ScanExecutor
 __all__ = [
     "PartitionAtATimeExecutor",
     "ReplicatedExecutor",
-    "aggregate",
-    "group_aggregate",
-    "revenue",
     "STATUS_INVALID",
     "STATUS_NOT_CHECKED",
     "STATUS_VALID",

@@ -46,7 +46,6 @@ __all__ = [
     "RelationalQuery",
     "ScanNode",
     "build_relational_plan",
-    "single_table_query",
 ]
 
 #: Aggregate functions the grouped-aggregation operator evaluates.
@@ -492,24 +491,4 @@ def build_relational_plan(
         scans=scans,
         output=tuple(output),
         notes=tuple(notes),
-    )
-
-
-def single_table_query(
-    plan: RelationalPlan,
-) -> Optional[Query]:
-    """The plain single-table :class:`Query` a trivial DAG reduces to.
-
-    A one-table, no-aggregate relational query is exactly the paper's query
-    shape; returning it lets callers keep byte-identical single-table
-    behaviour (same planner, same stats) instead of paying the DAG driver.
-    Returns None when the DAG genuinely joins or aggregates.
-    """
-    if isinstance(plan.root, (GroupAggNode, JoinNode)):
-        return None
-    scan = plan.root
-    select = [item.column for item in plan.query.select
-              if isinstance(item, ColumnRef)]
-    return Query.build(
-        scan.meta, select, scan.pushed, label=plan.query.label or "relational"
     )

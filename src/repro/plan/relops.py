@@ -16,8 +16,9 @@ columns plus hidden per-table tuple-id columns) and combines them:
   ``spill_bytes_written`` / ``spill_bytes_read`` in :class:`ExecutionStats`,
   I/O priced by the device's fitted :class:`~repro.core.cost.IOModel`).
 * :class:`GroupAggOp` — sort-based grouped aggregation (lexsort +
-  ``reduceat``) over sum/min/max/mean/count and ``count(*)``, also the
-  engine behind the deprecated :mod:`repro.engine.aggregates` helpers.
+  ``reduceat``) over sum/min/max/mean/count and ``count(*)``; without keys
+  it computes scalar aggregates over any result
+  (``Relation.from_result``).
 
 Join and aggregation outputs are deterministic: every relation carries its
 tables' tuple-id columns and the executor sorts the final output by them
@@ -333,7 +334,7 @@ class GroupAggOp:
     With group keys: lexsort the key columns, find group boundaries, and
     evaluate each aggregate with ``reduceat`` — output rows are sorted by
     the key tuple, so the result is deterministic.  Without keys, produces
-    exactly one row; empty input follows the established helper semantics
+    exactly one row; empty input follows SQL scalar-aggregate semantics
     (``sum``/``count`` -> 0, ``min``/``max``/``mean`` -> NaN).
 
     Accounting models a hash aggregation: one hash insert per input row and

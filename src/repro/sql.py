@@ -1,19 +1,9 @@
 """A small SQL front end for the query model.
 
-Two grammars share one tokenizer:
+One grammar, parsed against a catalog of tables (``{name: TableMeta}``)::
 
-**Single-table** (the paper's query shape — a projection plus a conjunction
-of range predicates), parsed against one :class:`TableMeta`::
-
-    SELECT <column [, column ...] | *>
-    FROM <table>
-    [WHERE <predicate> [AND <predicate> ...]]
-
-**Relational** (the operator-DAG surface), parsed against a catalog of
-tables (:func:`parse_relational_statement`)::
-
-    SELECT <item [, item ...]>
-    FROM <table> [JOIN <table> ON <col> = <col> ...]
+    SELECT <item [, item ...] | *>
+    FROM <table> [AS OF <version>] [JOIN <table> ON <col> = <col> ...]
     [WHERE <predicate> [AND <predicate> ...]]
     [GROUP BY <column [, column ...]>]
 
@@ -24,6 +14,17 @@ take the forms::
 
     a = 5          a < 5       a <= 5      a > 5       a >= 5
     a BETWEEN 1 AND 20
+
+and numbers are decimal literals with an optional exponent (``1e-05``).
+
+:func:`parse_relational_statement` returns the
+:class:`~repro.plan.relational.RelationalQuery` the operator DAG runs; the
+DAG reads the head catalog version, so ``AS OF`` is rejected there.
+:func:`parse_statement` parses against the one-table catalog
+``{table.name: table}`` and reduces the result (:func:`single_table_query`)
+to a plain :class:`~repro.core.query.Query` — the paper's query shape, a
+projection plus a conjunction of range predicates.  JOIN, GROUP BY and
+aggregates are rejected there with errors naming the relational entry point.
 
 A statement may be prefixed with ``EXPLAIN [ANALYZE]``; the query is then
 planned (and for ANALYZE, executed with tracing) and the caller renders the
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .core.query import Query
@@ -55,20 +56,20 @@ from .plan.relational import (
 )
 
 __all__ = [
-    "RelationalStatement",
     "Statement",
     "parse_query",
     "parse_relational_query",
     "parse_relational_statement",
     "parse_statement",
     "relational_to_sql",
+    "single_table_query",
     "to_sql",
 ]
 
 _TOKEN = re.compile(
     r"""
     \s*(?:
-        (?P<number>-?\d+(?:\.\d+)?)
+        (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op><=|>=|=|<|>)
       | (?P<comma>,)
@@ -96,6 +97,12 @@ _AGG_NAMES = {
     "AVG": "mean", "MEAN": "mean", "COUNT": "count",
 }
 
+_JOIN_IN_SINGLE_TABLE = (
+    "JOIN is not supported in single-table queries: parse "
+    "multi-table statements with parse_relational_statement() "
+    "(SELECT ... FROM a JOIN b ON a.x = b.y ...)"
+)
+
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     tokens: List[Tuple[str, str]] = []
@@ -111,12 +118,25 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
     return tokens
 
 
-class _ParserBase:
-    """Shared token-stream helpers for both grammars."""
+class _Parser:
+    """Recursive-descent parser for the grammar over a catalog of tables."""
 
-    def __init__(self, tokens: List[Tuple[str, str]]):
+    _REJECTED = {
+        "LEFT": "LEFT JOIN", "RIGHT": "RIGHT JOIN", "OUTER": "OUTER JOIN",
+        "FULL": "FULL JOIN", "CROSS": "CROSS JOIN",
+    }
+
+    def __init__(
+        self, tokens: List[Tuple[str, str]], metas: Mapping[str, TableMeta]
+    ):
         self.tokens = tokens
         self.position = 0
+        self.metas = metas
+        self.from_tables: List[str] = []
+        #: catalog version from a ``FROM t AS OF <version>`` clause.
+        self.as_of: Optional[int] = None
+
+    # -------------------------------------------------------- token stream
 
     def _peek(self) -> Tuple[str, str] | None:
         if self.position < len(self.tokens):
@@ -141,168 +161,12 @@ class _ParserBase:
             raise InvalidQueryError(f"expected {kind}, found {value!r}")
         return value
 
-
-class _Parser(_ParserBase):
-    """Recursive-descent parser for the single-table grammar."""
-
-    def __init__(self, tokens: List[Tuple[str, str]], table: TableMeta):
-        super().__init__(tokens)
-        self.table = table
-        #: catalog version from a ``FROM t AS OF <version>`` clause.
-        self.as_of: Optional[int] = None
-
-    # -------------------------------------------------------------- parser
-
-    def parse(self) -> Query:
-        self._expect_keyword("SELECT")
-        select = self._parse_select_list()
-        self._expect_keyword("FROM")
-        table_name = self._expect("name")
-        if table_name != self.table.name:
-            raise InvalidQueryError(
-                f"query is FROM {table_name!r} but the table is {self.table.name!r}"
-            )
-        if self._peek() == ("keyword", "AS"):
-            self._next()
-            self._expect_keyword("OF")
-            literal = self._expect("number")
-            version = float(literal)
-            if version != int(version) or version < 0:
-                raise InvalidQueryError(
-                    f"AS OF takes a non-negative integer catalog version, "
-                    f"got {literal!r}"
-                )
-            self.as_of = int(version)
-        where: Dict[str, Tuple[float, float]] = {}
-        token = self._peek()
-        if token is not None and token == ("keyword", "JOIN"):
-            raise InvalidQueryError(
-                "JOIN is not supported in single-table queries: parse "
-                "multi-table statements with parse_relational_statement() "
-                "(SELECT ... FROM a JOIN b ON a.x = b.y ...)"
-            )
-        self._reject_group_by()
-        if self._peek() is not None:
-            self._expect_keyword("WHERE")
-            where = self._parse_predicates()
-        self._reject_group_by()
-        if self._peek() is not None:
-            _kind, value = self._next()
-            raise InvalidQueryError(f"trailing input starting at {value!r}")
-        return Query.build(self.table, select, where, label="sql")
-
-    def _reject_group_by(self) -> None:
-        if self._peek() == ("keyword", "GROUP"):
-            raise InvalidQueryError(
-                "GROUP BY is not supported in single-table queries: parse "
-                "aggregations with parse_relational_statement() "
-                "(SELECT key, SUM(value) FROM t ... GROUP BY key)"
-            )
-
-    def _parse_select_list(self) -> List[str]:
-        token = self._peek()
-        if token is not None and token[0] == "star":
-            self._next()
-            return list(self.table.attribute_names)
-        names = [self._parse_select_item()]
-        while self._peek() is not None and self._peek()[0] == "comma":
-            self._next()
-            names.append(self._parse_select_item())
-        return names
-
-    def _parse_select_item(self) -> str:
-        name = self._expect("name")
-        if self._peek() is not None and self._peek()[0] == "lparen":
-            if name.upper() in _AGG_NAMES:
-                raise InvalidQueryError(
-                    f"aggregate {name.upper()}(...) is not supported in "
-                    "single-table queries: parse it with "
-                    "parse_relational_statement() "
-                    "(SELECT SUM(column) FROM t ...)"
-                )
-            raise InvalidQueryError(
-                f"function call {name!r}(...) is not supported: the select "
-                "list takes plain column names (or * for all columns)"
-            )
-        return name
-
-    def _parse_predicates(self) -> Dict[str, Tuple[float, float]]:
-        bounds: Dict[str, Tuple[float, float]] = {}
-        while True:
-            name, (lo, hi) = self._parse_predicate()
-            if name in bounds:
-                # Conjunctions on the same attribute intersect.
-                old_lo, old_hi = bounds[name]
-                lo, hi = max(lo, old_lo), min(hi, old_hi)
-                if hi < lo:
-                    raise InvalidQueryError(
-                        f"predicates on {name!r} are contradictory"
-                    )
-            bounds[name] = (lo, hi)
-            token = self._peek()
-            if token is None or token == ("keyword", "GROUP"):
-                self._reject_group_by()
-                return bounds
-            if token == ("keyword", "AND"):
-                self._next()
-                continue
-            if token[0] == "keyword" and token[1] in ("OR", "NOT"):
-                raise InvalidQueryError(
-                    f"{token[1]} is not supported: the engine evaluates "
-                    "conjunctions of range predicates (the paper's query shape)"
-                )
-            _kind, value = self._next()
-            raise InvalidQueryError(f"unexpected {value!r} in WHERE clause")
-
-    def _parse_predicate(self) -> Tuple[str, Tuple[float, float]]:
-        name = self._expect("name")
-        if name not in self.table.schema:
-            raise InvalidQueryError(f"unknown column {name!r}")
-        unit = self.table.schema[name].unit
-        token = self._next()
-        if token == ("keyword", "BETWEEN"):
-            lo = float(self._expect("number"))
-            self._expect_keyword("AND")
-            hi = float(self._expect("number"))
-            if hi < lo:
-                raise InvalidQueryError(f"BETWEEN bounds on {name!r} are inverted")
-            return name, (lo, hi)
-        kind, op = token
-        if kind != "op":
-            raise InvalidQueryError(f"expected a comparison after {name!r}, found {op!r}")
-        value = float(self._expect("number"))
-        table_interval = self.table.interval(name)
-        if op == "=":
-            return name, (value, value)
-        if op == "<=":
-            return name, (table_interval.lo, value)
-        if op == ">=":
-            return name, (value, table_interval.hi)
-        if op == "<":
-            upper = value - unit if unit else math.nextafter(value, -math.inf)
-            return name, (table_interval.lo, upper)
-        # op == ">"
-        lower = value + unit if unit else math.nextafter(value, math.inf)
-        return name, (lower, table_interval.hi)
-
-
-# --------------------------------------------------------------- relational
-
-
-class _RelationalParser(_ParserBase):
-    """Recursive-descent parser for the multi-table grammar."""
-
-    _REJECTED = {
-        "LEFT": "LEFT JOIN", "RIGHT": "RIGHT JOIN", "OUTER": "OUTER JOIN",
-        "FULL": "FULL JOIN", "CROSS": "CROSS JOIN",
-    }
-
-    def __init__(
-        self, tokens: List[Tuple[str, str]], metas: Mapping[str, TableMeta]
-    ):
-        super().__init__(tokens)
-        self.metas = metas
-        self.from_tables: List[str] = []
+    def _expect_number(self) -> float:
+        literal = self._expect("number")
+        value = float(literal)
+        if not math.isfinite(value):
+            raise InvalidQueryError(f"number {literal} is out of range")
+        return value
 
     # ------------------------------------------------------------- parsing
 
@@ -347,7 +211,7 @@ class _RelationalParser(_ParserBase):
             label="sql",
         )
 
-    # -------------------------------------------------------- FROM / JOIN
+    # -------------------------------------------------- FROM / AS OF / JOIN
 
     def _parse_from_joins(self) -> Tuple[JoinCondition, ...]:
         first = self._expect("name")
@@ -356,6 +220,17 @@ class _RelationalParser(_ParserBase):
                 f"unknown table {first!r}; catalog has {sorted(self.metas)}"
             )
         self.from_tables.append(first)
+        if self._peek() == ("keyword", "AS"):
+            self._next()
+            self._expect_keyword("OF")
+            literal = self._expect("number")
+            version = float(literal)
+            if not version.is_integer() or version < 0:
+                raise InvalidQueryError(
+                    f"AS OF takes a non-negative integer catalog version, "
+                    f"got {literal!r}"
+                )
+            self.as_of = int(version)
         joins: List[JoinCondition] = []
         while True:
             token = self._peek()
@@ -520,6 +395,7 @@ class _RelationalParser(_ParserBase):
         while True:
             ref, (lo, hi) = self._parse_predicate()
             if ref in bounds:
+                # Conjunctions on the same column intersect.
                 old_lo, old_hi = bounds[ref]
                 lo, hi = max(lo, old_lo), min(hi, old_hi)
                 if hi < lo:
@@ -547,9 +423,9 @@ class _RelationalParser(_ParserBase):
         unit = meta.schema[ref.column].unit
         token = self._next()
         if token == ("keyword", "BETWEEN"):
-            lo = float(self._expect("number"))
+            lo = self._expect_number()
             self._expect_keyword("AND")
-            hi = float(self._expect("number"))
+            hi = self._expect_number()
             if hi < lo:
                 raise InvalidQueryError(
                     f"BETWEEN bounds on {ref.qualified!r} are inverted"
@@ -560,7 +436,7 @@ class _RelationalParser(_ParserBase):
             raise InvalidQueryError(
                 f"expected a comparison after {ref.qualified!r}, found {op!r}"
             )
-        value = float(self._expect("number"))
+        value = self._expect_number()
         interval = meta.interval(ref.column)
         if op == "=":
             return ref, (value, value)
@@ -576,7 +452,44 @@ class _RelationalParser(_ParserBase):
         return ref, (lower, interval.hi)
 
 
+def single_table_query(
+    query: RelationalQuery, metas: Mapping[str, TableMeta]
+) -> Query:
+    """The plain single-table :class:`Query` a one-table relational query is.
+
+    A one-table, non-aggregating :class:`RelationalQuery` is exactly the
+    paper's query shape; the reduction hands it to the single-table planner
+    and engines unchanged.  Joins, aggregates and GROUP BY raise
+    :class:`~repro.errors.InvalidQueryError` naming
+    :func:`parse_relational_statement`, which keeps them for the DAG.
+    """
+    if len(query.tables) > 1:
+        raise InvalidQueryError(_JOIN_IN_SINGLE_TABLE)
+    if query.aggregates:
+        raise InvalidQueryError(
+            f"aggregate {query.aggregates[0].func.upper()}(...) is not "
+            "supported in single-table queries: parse it with "
+            "parse_relational_statement() (SELECT SUM(column) FROM t ...)"
+        )
+    if query.group_by:
+        raise InvalidQueryError(
+            "GROUP BY is not supported in single-table queries: parse "
+            "aggregations with parse_relational_statement() "
+            "(SELECT key, SUM(value) FROM t ... GROUP BY key)"
+        )
+    return Query.build(
+        metas[query.tables[0]],
+        [ref.column for ref in query.plain_columns],
+        {ref.column: bounds for ref, bounds in query.where.items()},
+        label=query.label,
+    )
+
+
 # ---------------------------------------------------------------- rendering
+
+
+def _number(value: float) -> str:
+    return str(int(value)) if float(value).is_integer() else repr(value)
 
 
 def to_sql(query: Query, table_name: str) -> str:
@@ -585,14 +498,10 @@ def to_sql(query: Query, table_name: str) -> str:
     ``parse_query(table, to_sql(q, table.name))`` reproduces the query's
     projection and predicate bounds (asserted property-based in the tests).
     """
-
-    def number(value: float) -> str:
-        return str(int(value)) if float(value).is_integer() else repr(value)
-
     text = f"SELECT {', '.join(query.select)} FROM {table_name}"
     if query.where:
         predicates = " AND ".join(
-            f"{name} BETWEEN {number(interval.lo)} AND {number(interval.hi)}"
+            f"{name} BETWEEN {_number(interval.lo)} AND {_number(interval.hi)}"
             for name, interval in query.where.items()
         )
         text += f" WHERE {predicates}"
@@ -606,9 +515,6 @@ def relational_to_sql(query: RelationalQuery) -> str:
     tables, join conditions, predicate bounds, select list, and GROUP BY
     keys (asserted property-based in the tests).
     """
-
-    def number(value: float) -> str:
-        return str(int(value)) if float(value).is_integer() else repr(value)
 
     def item(entry: Union[ColumnRef, AggSpec]) -> str:
         if isinstance(entry, ColumnRef):
@@ -626,7 +532,7 @@ def relational_to_sql(query: RelationalQuery) -> str:
         )
     if query.where:
         predicates = " AND ".join(
-            f"{ref.qualified} BETWEEN {number(lo)} AND {number(hi)}"
+            f"{ref.qualified} BETWEEN {_number(lo)} AND {_number(hi)}"
             for ref, (lo, hi) in query.where.items()
         )
         text += f" WHERE {predicates}"
@@ -642,9 +548,13 @@ def relational_to_sql(query: RelationalQuery) -> str:
 
 @dataclass(frozen=True)
 class Statement:
-    """One parsed statement: the query, plus its ``EXPLAIN [ANALYZE]`` mode."""
+    """One parsed statement: the query, plus its ``EXPLAIN [ANALYZE]`` mode.
 
-    query: Query
+    ``query`` is a :class:`Query` from :func:`parse_statement` and a
+    :class:`RelationalQuery` from :func:`parse_relational_statement`.
+    """
+
+    query: Union[Query, RelationalQuery]
     explain: bool = False
     analyze: bool = False
     #: catalog version pinned by ``FROM t AS OF <version>`` (time travel);
@@ -652,16 +562,9 @@ class Statement:
     as_of: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class RelationalStatement:
-    """One parsed relational statement with its EXPLAIN mode."""
-
-    query: RelationalQuery
-    explain: bool = False
-    analyze: bool = False
-
-
-def _strip_explain(tokens: List[Tuple[str, str]]) -> Tuple[List[Tuple[str, str]], bool, bool]:
+def _parse(
+    metas: Mapping[str, TableMeta], tokens: List[Tuple[str, str]]
+) -> Statement:
     if not tokens:
         raise InvalidQueryError("empty query")
     explain = tokens[0] == ("keyword", "EXPLAIN")
@@ -679,25 +582,44 @@ def _strip_explain(tokens: List[Tuple[str, str]]) -> Tuple[List[Tuple[str, str]]
         raise InvalidQueryError(
             "ANALYZE is only valid after EXPLAIN (EXPLAIN ANALYZE SELECT ...)"
         )
-    return tokens, explain, analyze
-
-
-def parse_statement(table: TableMeta, sql: str) -> Statement:
-    """Parse one statement (``[EXPLAIN [ANALYZE]] SELECT ...``).
-
-    ``EXPLAIN`` marks the statement for planning only: the caller should
-    build the executor's plan and render its
-    :class:`~repro.plan.explain.ExplainReport` instead of executing.
-    ``EXPLAIN ANALYZE`` additionally asks for a traced execution — the
-    caller runs the query through :func:`repro.obs.explain_analyze` and
-    the report gains the per-operator actuals tree.
-    """
-    tokens, explain, analyze = _strip_explain(_tokenize(sql))
-    parser = _Parser(tokens, table)
+    parser = _Parser(tokens, metas)
     query = parser.parse()
     return Statement(
         query=query, explain=explain, analyze=analyze, as_of=parser.as_of
     )
+
+
+def _result_query(
+    statement: Statement, entry: str, report: str
+) -> Union[Query, RelationalQuery]:
+    if statement.explain:
+        raise InvalidQueryError(
+            "EXPLAIN statements carry no result; parse them with "
+            f"{entry}() and render the {report}"
+        )
+    return statement.query
+
+
+def parse_statement(table: TableMeta, sql: str) -> Statement:
+    """Parse one single-table statement (``[EXPLAIN [ANALYZE]] SELECT ...``).
+
+    The statement is parsed against the one-table catalog
+    ``{table.name: table}`` and reduced to a plain :class:`Query` by
+    :func:`single_table_query`.  ``EXPLAIN`` marks the statement for
+    planning only: the caller should build the executor's plan and render
+    its :class:`~repro.plan.explain.ExplainReport` instead of executing.
+    ``EXPLAIN ANALYZE`` additionally asks for a traced execution — the
+    caller runs the query through :func:`repro.obs.explain_analyze` and
+    the report gains the per-operator actuals tree.
+    """
+    tokens = _tokenize(sql)
+    # Refuse before the joined table is resolved: it is not in the
+    # one-table catalog, and the pointed message is the useful one.
+    if ("keyword", "JOIN") in tokens:
+        raise InvalidQueryError(_JOIN_IN_SINGLE_TABLE)
+    metas = {table.name: table}
+    statement = _parse(metas, tokens)
+    return replace(statement, query=single_table_query(statement.query, metas))
 
 
 def parse_query(table: TableMeta, sql: str) -> Query:
@@ -705,18 +627,16 @@ def parse_query(table: TableMeta, sql: str) -> Query:
 
     >>> query = parse_query(meta, "SELECT a, b FROM t WHERE a BETWEEN 1 AND 9")
     """
-    statement = parse_statement(table, sql)
-    if statement.explain:
-        raise InvalidQueryError(
-            "EXPLAIN statements carry no result; parse them with "
-            "parse_statement() and render the executor's explain report"
-        )
-    return statement.query
+    return _result_query(
+        parse_statement(table, sql),
+        "parse_statement",
+        "executor's explain report",
+    )
 
 
 def parse_relational_statement(
     metas: Mapping[str, TableMeta], sql: str
-) -> RelationalStatement:
+) -> Statement:
     """Parse one relational statement against a catalog of tables.
 
     ``metas`` maps table name -> :class:`TableMeta` (e.g.
@@ -724,19 +644,22 @@ def parse_relational_statement(
     :func:`repro.plan.dag.explain_relational` rendering, mirroring the
     single-table convention.
     """
-    tokens, explain, analyze = _strip_explain(_tokenize(sql))
-    query = _RelationalParser(tokens, metas).parse()
-    return RelationalStatement(query=query, explain=explain, analyze=analyze)
+    statement = _parse(metas, _tokenize(sql))
+    if statement.as_of is not None:
+        raise InvalidQueryError(
+            "AS OF is not supported in relational statements: the operator "
+            "DAG reads the head catalog version; pin a version on one table "
+            "with parse_statement() (SELECT ... FROM t AS OF <version>)"
+        )
+    return statement
 
 
 def parse_relational_query(
     metas: Mapping[str, TableMeta], sql: str
 ) -> RelationalQuery:
     """Parse one relational SELECT into a :class:`RelationalQuery`."""
-    statement = parse_relational_statement(metas, sql)
-    if statement.explain:
-        raise InvalidQueryError(
-            "EXPLAIN statements carry no result; parse them with "
-            "parse_relational_statement() and render the DAG explain report"
-        )
-    return statement.query
+    return _result_query(
+        parse_relational_statement(metas, sql),
+        "parse_relational_statement",
+        "DAG explain report",
+    )

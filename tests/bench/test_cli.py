@@ -134,5 +134,6 @@ class TestProfileCommand:
         assert "# TYPE" in out
 
     def test_profile_rejects_sql(self, tmp_path):
-        with pytest.raises(SystemExit):
+        # The message names every command that takes SQL.
+        with pytest.raises(SystemExit, match="explain or write"):
             main(["profile", "SELECT a1 FROM oracle"])

@@ -16,8 +16,8 @@ from repro.plan.relational import (
     RelationalQuery,
     ScanNode,
     build_relational_plan,
-    single_table_query,
 )
+from repro.sql import single_table_query
 from repro.storage import ColumnTable
 
 
@@ -239,8 +239,7 @@ class TestSingleTableReduction:
             select=(ColumnRef("fact", "f_key"), ColumnRef("fact", "f_b")),
             label="single",
         )
-        plan = build_relational_plan(query, metas)
-        reduced = single_table_query(plan)
+        reduced = single_table_query(query, metas)
         direct = Query.build(
             fact.meta, ["f_key", "f_b"], {"f_a": (10, 90)}, label="single"
         )
@@ -254,7 +253,8 @@ class TestSingleTableReduction:
         assert reduced.label == "single"
 
     def test_join_or_aggregate_does_not_reduce(self, metas):
-        assert single_table_query(build_relational_plan(join_query(), metas)) is None
+        with pytest.raises(InvalidQueryError, match="JOIN is not supported"):
+            single_table_query(join_query(), metas)
         query = RelationalQuery(
             tables=("fact",),
             joins=(),
@@ -262,4 +262,5 @@ class TestSingleTableReduction:
             select=(AggSpec("count", None),),
             label="agg",
         )
-        assert single_table_query(build_relational_plan(query, metas)) is None
+        with pytest.raises(InvalidQueryError, match="aggregate COUNT"):
+            single_table_query(query, metas)

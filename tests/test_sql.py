@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import AttributeSpec, TableMeta, TableSchema
 from repro.errors import InvalidQueryError
 from repro.sql import parse_query, parse_statement
 
@@ -58,6 +59,18 @@ class TestParsing:
         with pytest.raises(InvalidQueryError):
             parse_query(paper_table, "SELECT a2 FROM T WHERE a1 > 14 AND a1 < 12")
 
+    def test_qualified_column_equals_bare_name(self, paper_table):
+        qualified = parse_statement(
+            paper_table, "SELECT T.a2 FROM T AS OF 4 WHERE T.a1 > 12"
+        )
+        bare = parse_statement(paper_table, "SELECT a2 FROM T AS OF 4 WHERE a1 > 12")
+        assert qualified.as_of == bare.as_of == 4
+        assert qualified.query.select == bare.query.select == ("a2",)
+        assert qualified.query.label == bare.query.label
+        assert {n: (i.lo, i.hi) for n, i in qualified.query.where.items()} == {
+            n: (i.lo, i.hi) for n, i in bare.query.where.items()
+        }
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -73,6 +86,7 @@ class TestErrors:
             "SELECT a2 FROM T WHERE a1 BETWEEN 14 AND 11",
             "SELECT a2 FROM T WHERE a1 = 12 garbage",
             "SELECT a2 FROM T WHERE a1 ! 12",
+            "SELECT a2 FROM T WHERE a1 < 1e400",
         ],
     )
     def test_rejected(self, paper_table, sql):
@@ -234,6 +248,22 @@ class TestToSql:
 
         query = parse_query(paper_table, "SELECT a1 FROM T")
         assert to_sql(query, "T") == "SELECT a1 FROM T"
+
+    @pytest.mark.parametrize(
+        "predicate", ["x > 0", "x BETWEEN 0.00001 AND 0.5"]
+    )
+    def test_continuous_column_roundtrip(self, predicate):
+        from repro.sql import to_sql
+
+        schema = TableSchema(
+            [AttributeSpec("k"), AttributeSpec("x", 8, "float64", integer=False)]
+        )
+        meta = TableMeta.from_bounds("t", schema, 10, {"k": (0, 9), "x": (0, 1)})
+        original = parse_query(meta, f"SELECT k FROM t WHERE {predicate}")
+        rebuilt = parse_query(meta, to_sql(original, "t"))
+        assert {n: (i.lo, i.hi) for n, i in rebuilt.where.items()} == {
+            n: (i.lo, i.hi) for n, i in original.where.items()
+        }
 
 
 class TestSqlProperty:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import TableSchema
+from repro.core import AttributeSpec, TableMeta, TableSchema
 from repro.errors import InvalidQueryError
 from repro.plan.relational import AggSpec, ColumnRef, JoinCondition
 from repro.sql import (
@@ -220,6 +220,13 @@ class TestPointedErrors:
         with pytest.raises(InvalidQueryError, match="catalog has"):
             parse_relational_query(metas, "SELECT f_a FROM nope")
 
+    def test_as_of_names_the_head_version(self, metas):
+        with pytest.raises(InvalidQueryError, match="AS OF is not supported"):
+            parse_relational_statement(
+                metas,
+                "SELECT f_a FROM fact AS OF 2 JOIN dim ON f_key = d_key",
+            )
+
 
 class TestRoundTrip:
     def test_fixed_round_trip(self, metas):
@@ -229,6 +236,21 @@ class TestRoundTrip:
             "WHERE fact.f_a BETWEEN 10 AND 90 GROUP BY dim.d_a"
         )
         query = parse_relational_query(metas, sql)
+        assert parse_relational_query(metas, relational_to_sql(query)) == query
+
+    @pytest.mark.parametrize(
+        "predicate", ["x > 0", "x BETWEEN 0.00001 AND 0.5"]
+    )
+    def test_continuous_column_round_trip(self, predicate):
+        schema = TableSchema(
+            [AttributeSpec("k"), AttributeSpec("x", 8, "float64", integer=False)]
+        )
+        metas = {
+            "t": TableMeta.from_bounds("t", schema, 10, {"k": (0, 9), "x": (0, 1)})
+        }
+        query = parse_relational_query(
+            metas, f"SELECT t.k FROM t WHERE {predicate}"
+        )
         assert parse_relational_query(metas, relational_to_sql(query)) == query
 
     @settings(
